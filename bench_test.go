@@ -407,9 +407,7 @@ func BenchmarkScoreRules(b *testing.B) {
 	b.Run("seed_serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range rs {
-				ex := cypher.NewExecutor(g)
-				ex.SetIndexPushdown(false)
-				ex.SetCountFastPath(false)
+				ex := cypher.NewExecutor(g, cypher.WithIndexPushdown(false), cypher.WithCountFastPath(false))
 				runQueries(b, ex, r.Queries())
 			}
 		}
@@ -452,8 +450,7 @@ func BenchmarkEnginePropertyLookup(b *testing.B) {
 	const q = `MATCH (m:Match {stage: 'Group Stage'}) RETURN count(*) AS n`
 	for _, pushdown := range []bool{false, true} {
 		b.Run(fmt.Sprintf("pushdown=%v", pushdown), func(b *testing.B) {
-			ex := NewExecutor(g)
-			ex.SetIndexPushdown(pushdown)
+			ex := NewExecutor(g, WithIndexPushdown(pushdown))
 			var want int64 = -1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -41,8 +41,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	query := fs.String("q", "", "single query to run (omit for a REPL)")
 	seed := fs.Int64("graph-seed", 42, "dataset generator seed")
 	violations := fs.Float64("violations", 0.03, "dataset violation injection rate")
-	shardWorkers := fs.Int("shard-workers", 0, "partition eligible MATCH anchor scans across N workers (0 = serial)")
-	morselSize := fs.Int("morsel-size", 0, "anchor candidates per work-stealing morsel in sharded scans (0 = default 256)")
 	noReorder := fs.Bool("no-reorder", false, "disable cost-based pattern-part ordering")
 	noRangePushdown := fs.Bool("no-range-pushdown", false, "disable ordered-index range seeks for inequality/STARTS WITH predicates")
 	queryTimeout := fs.Duration("query-timeout", 0, "abort any query running longer than this (0 = no limit)")
@@ -114,8 +112,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	opts := []cypher.Option{
-		cypher.WithShardWorkers(*shardWorkers),
-		cypher.WithMorselSize(*morselSize),
 		cypher.WithReorder(!*noReorder),
 		cypher.WithRangePushdown(!*noRangePushdown),
 		cypher.WithSnapshotPin(*pinSnapshot),
@@ -149,7 +145,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return runQuery(sess, gov, *query, *queryTimeout, out, false)
 	}
 
-	fmt.Fprintln(out, `Interactive Cypher ("exit" quits; "schema", "stats", "explain <query>", "lint <query>", "profile <query>", "shard <n>", "morsel <n>", "limit <rows> <bytes>" and "governor" inspect/configure; "begin", "commit", "rollback" bracket a transaction)`)
+	fmt.Fprintln(out, `Interactive Cypher ("exit" quits; "schema", "stats", "explain <query>", "lint <query>", "profile <query>", "limit <rows> <bytes>" and "governor" inspect/configure; "begin", "commit", "rollback" bracket a transaction)`)
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
@@ -169,24 +165,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 			continue
 		case line == "stats":
 			fmt.Fprint(out, graph.ComputeStats(g).String())
-			continue
-		case strings.HasPrefix(line, "shard "):
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimPrefix(line, "shard "), "%d", &n); err != nil {
-				fmt.Fprintln(out, "error: shard requires an integer worker count")
-			} else {
-				ex.SetShardWorkers(n)
-				fmt.Fprintf(out, "shard workers: %d\n", ex.ShardWorkerCount())
-			}
-			continue
-		case strings.HasPrefix(line, "morsel "):
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimPrefix(line, "morsel "), "%d", &n); err != nil {
-				fmt.Fprintln(out, "error: morsel requires an integer size")
-			} else {
-				cypher.WithMorselSize(n)(ex)
-				fmt.Fprintf(out, "morsel size: %d\n", ex.MorselSize())
-			}
 			continue
 		case strings.HasPrefix(line, "limit "):
 			var rows int

@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	snapshot := fs.String("snapshot", "", "binary snapshot file to load")
 	seed := fs.Int64("graph-seed", 42, "dataset generator seed")
 	violations := fs.Float64("violations", 0.03, "dataset violation injection rate")
-	shardWorkers := fs.Int("shard-workers", 0, "partition eligible MATCH anchor scans across N workers (0 = serial; serial queries stream)")
 	queryTimeout := fs.Duration("query-timeout", 0, "kill any query running longer than this (0 = no limit)")
 	maxRows := fs.Int("max-rows", 0, "kill any query emitting more than N rows with a typed budget error (0 = unlimited)")
 	memBudget := fs.Int64("mem-budget", 0, "kill any query retaining more than ~N bytes (0 = unlimited)")
@@ -111,7 +110,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		QueueTimeout:  *queueTimeout,
 	})
 	ex := cypher.NewExecutor(g,
-		cypher.WithShardWorkers(*shardWorkers),
 		cypher.WithSnapshotPin(*pinSnapshot),
 		cypher.WithMaxRows(*maxRows),
 		cypher.WithMemoryBudget(*memBudget),

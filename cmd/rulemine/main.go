@@ -52,8 +52,6 @@ func run(args []string, out io.Writer) error {
 	asJSON := fs.Bool("json", false, "emit the full run report as JSON instead of text")
 	tableName := fs.String("table", "", `print a summary table instead of the rule listing: "errors" (§4.4 category + lint analyzer census)`)
 	scoreWorkers := fs.Int("score-workers", 0, "metric scoring worker pool (0 = Parallel's value, negative = GOMAXPROCS)")
-	shardWorkers := fs.Int("shard-workers", 0, "partition anchor scans inside each scoring query across N workers (0 = serial)")
-	morselSize := fs.Int("morsel-size", 0, "anchor candidates per work-stealing morsel in sharded scans (0 = default 256)")
 	retries := fs.Int("retries", 0, "retry each failed LLM call up to N extra times (transient errors only)")
 	callTimeout := fs.Duration("call-timeout", 0, "per-attempt LLM call deadline (0 = none); hung calls become retryable timeouts")
 	bestEffort := fs.Bool("best-effort", false, "mine from surviving windows when some LLM calls fail instead of aborting")
@@ -127,8 +125,6 @@ func run(args []string, out io.Writer) error {
 		Mode:             mode,
 		Encoder:          encoder,
 		ScoreWorkers:     *scoreWorkers,
-		ShardWorkers:     *shardWorkers,
-		MorselSize:       *morselSize,
 		FailurePolicy:    policy,
 		MinWindowSuccess: *minWindowSuccess,
 		MaxRows:          *maxRows,

@@ -183,7 +183,7 @@ type (
 	// PlanCacheStats reports an executor's prepared-query cache counters.
 	PlanCacheStats = cypher.PlanCacheStats
 	// ExecutorOption configures an Executor at construction
-	// (NewExecutor(g, WithShardWorkers(8), ...)).
+	// (NewExecutor(g, WithPlanCacheCap(256), ...)).
 	ExecutorOption = cypher.Option
 	// SeekInfo describes one index seek of an executed or explained query:
 	// variable, label/type, key, bounds, and estimated vs actual rows.
@@ -197,13 +197,6 @@ func NewExecutor(g *Graph, opts ...ExecutorOption) *Executor {
 
 // Executor construction options (see the cypher package for the full set).
 var (
-	// WithShardWorkers sets the worker count for sharded scans (0 disables
-	// sharding, <0 selects GOMAXPROCS).
-	WithShardWorkers = cypher.WithShardWorkers
-	// WithMorselSize sets the anchor-candidate morsel size for sharded
-	// scans (0 keeps the default of 256); a pure scheduling knob that
-	// never changes results.
-	WithMorselSize = cypher.WithMorselSize
 	// WithReorder toggles cost-based reordering of match parts.
 	WithReorder = cypher.WithReorder
 	// WithIndexPushdown toggles the label+property equality index.
@@ -213,7 +206,8 @@ var (
 	WithRangePushdown = cypher.WithRangePushdown
 	// WithCountFastPath toggles the count(*) shortcut.
 	WithCountFastPath = cypher.WithCountFastPath
-	// WithPlanCacheCap bounds the prepared-plan cache (0 disables it).
+	// WithPlanCacheCap bounds the prepared-plan cache to n entries (LRU
+	// eviction); n <= 0 keeps the default cap.
 	WithPlanCacheCap = cypher.WithPlanCacheCap
 	// WithSnapshotPin pins each read-only query to the epoch current at
 	// its start, so concurrent commits never change what one scan sees.
@@ -325,7 +319,7 @@ type (
 type Scorer = metrics.Scorer
 
 // NewScorer returns a rule scorer bound to g; opts configure its shared
-// executor (e.g. WithShardWorkers(8)).
+// executor (e.g. WithPlanCacheCap(256)).
 func NewScorer(g *Graph, opts ...ExecutorOption) *Scorer { return metrics.NewScorer(g, opts...) }
 
 // Incremental metric maintenance.

@@ -87,8 +87,8 @@ Under Go ≥1.22 loop variables are per-iteration, so a captured range
 variable is no longer the classic last-value bug — but a deferred
 closure over it still runs after the loop (holding the final iteration
 alive), and goroutine captures remain a correctness smell the engine
-avoids by passing the variable as an argument (see shard.go's worker
-spawn). Lite version of the upstream pass.`,
+avoids by passing the variable as an argument. Lite version of the
+upstream pass.`,
 	Run: runLoopClosure,
 }
 

@@ -151,6 +151,34 @@ func TestServerSyntaxFailureAndReset(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesHugeNesting sends the two query texts that used to take
+// the whole process down — both under the 16 MiB message cap — and expects
+// an ordinary syntax FAILURE each time, with the same connection serving a
+// normal query after RESET.
+func TestServerSurvivesHugeNesting(t *testing.T) {
+	c, _ := startServer(t, cypher.NewExecutor(boltGraph(1)))
+
+	hostile := map[string]string{
+		"1M-term sum": "RETURN 1" + strings.Repeat("+1", 1_000_000),
+	}
+	if !testing.Short() { // 10M tokens: ~1 GiB while lexing
+		hostile["5M parentheses"] = "RETURN " + strings.Repeat("(", 5_000_000) + "1" + strings.Repeat(")", 5_000_000)
+	}
+	for name, q := range hostile {
+		_, err := c.Run(q, nil)
+		var sf *ServerFailure
+		if !errors.As(err, &sf) || sf.Code != codeSyntaxError {
+			t.Fatalf("%s: err = %v, want %s", name, err, codeSyntaxError)
+		}
+		if err := c.Reset(); err != nil {
+			t.Fatalf("%s: reset: %v", name, err)
+		}
+		if _, recs, err := c.RunAll(`MATCH (n:N) RETURN n.i AS i`, nil); err != nil || len(recs) != 1 {
+			t.Fatalf("%s: run after failure: recs=%d err=%v", name, len(recs), err)
+		}
+	}
+}
+
 func TestServerBudgetKillFailure(t *testing.T) {
 	c, _ := startServer(t, cypher.NewExecutor(boltGraph(100), cypher.WithMaxRows(10)))
 

@@ -14,8 +14,7 @@ import (
 // touching an entry protects it and the least-recently-used entry is the
 // one evicted.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	ex := NewExecutor(socialGraph())
-	ex.SetPlanCacheCap(2)
+	ex := NewExecutor(socialGraph(), WithPlanCacheCap(2))
 
 	q1 := `MATCH (u:User) RETURN count(*) AS n`
 	q2 := `MATCH (t:Tweet) RETURN count(*) AS n`
@@ -73,7 +72,7 @@ func TestPlanCacheCapShrink(t *testing.T) {
 		}
 	}
 
-	ex.SetPlanCacheCap(1)
+	WithPlanCacheCap(1)(ex)
 	st := ex.PlanCacheStats()
 	if st.Entries != 1 || st.Cap != 1 || st.Evictions != 3 {
 		t.Fatalf("after shrink: %+v, want entries=1 cap=1 evictions=3", st)
@@ -88,7 +87,7 @@ func TestPlanCacheCapShrink(t *testing.T) {
 	}
 
 	// Restoring the default cap re-enables growth.
-	ex.SetPlanCacheCap(0)
+	WithPlanCacheCap(0)(ex)
 	if st := ex.PlanCacheStats(); st.Cap != planCacheLimit {
 		t.Errorf("cap = %d, want default %d", st.Cap, planCacheLimit)
 	}
@@ -108,22 +107,15 @@ func denseGraph(n int) *graph.Graph {
 // starts and expects a prompt ctx error; if cancellation were ignored the
 // query would run to completion and return nil.
 func TestRunCtxCancellation(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			ex := NewExecutor(denseGraph(400))
-			if shards > 0 {
-				ex.SetShardWorkers(shards)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				cancel()
-			}()
-			_, err := ex.RunCtx(ctx, `MATCH (a:N), (b:N), (c:N) RETURN count(*) AS n`, nil)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-		})
+	ex := NewExecutor(denseGraph(400))
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+	}()
+	_, err := ex.RunCtx(ctx, `MATCH (a:N), (b:N), (c:N) RETURN count(*) AS n`, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

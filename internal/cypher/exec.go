@@ -64,16 +64,6 @@ type ExecStats struct {
 	// (session.go / stream.go): result rows were emitted to the cursor
 	// incrementally and never materialized in Result.Rows.
 	Streamed bool
-	// Sharded is true when at least one MATCH ran on the morsel-driven
-	// worker pool; ShardWorkers is the configured pool size, Morsels how
-	// many morsels the last sharded clause's anchor scan was cut into,
-	// MorselSize the cut size used, and ShardRows the rows each morsel
-	// produced, in tag (candidate) order.
-	Sharded      bool
-	ShardWorkers int
-	Morsels      int
-	MorselSize   int
-	ShardRows    []int
 	// Reordered is true when cost-based planning changed part order or
 	// orientation; PartOrder lists the chosen execution order (original
 	// pattern indices) and PartEst the anchor cardinality estimates, both
@@ -126,10 +116,6 @@ func (s ExecStats) String() string {
 	}
 	for _, sk := range s.Seeks {
 		fmt.Fprintf(&b, "  %s\n", sk)
-	}
-	if s.Sharded {
-		fmt.Fprintf(&b, "shards: %d worker(s), %d morsel(s) of <=%d, rows per morsel %v\n",
-			s.ShardWorkers, s.Morsels, s.MorselSize, s.ShardRows)
 	}
 	if len(s.PartOrder) > 0 {
 		fmt.Fprintf(&b, "part order: %v est %v reordered=%v\n", s.PartOrder, s.PartEst, s.Reordered)
@@ -250,16 +236,12 @@ type Executor struct {
 
 	// noPushdown / noCountFast disable the respective fast paths; they
 	// exist for A/B benchmarking and plan debugging. noReorder disables
-	// cost-based part ordering (parts then run exactly as written), and
-	// shardWorkers >= 1 routes eligible MATCH clauses through the
-	// anchor-partitioned worker pool (see shard.go); both also back the
-	// differential oracle's reference configurations.
+	// cost-based part ordering (parts then run exactly as written), which
+	// also backs the differential oracle's reference configuration.
 	noPushdown      bool
 	noCountFast     bool
 	noReorder       bool
 	noRangePushdown bool
-	shardWorkers    int
-	morselSize      int  // anchor candidates per morsel; 0 = defaultMorselSize
 	snapshotPin     bool // read-only queries run on a pinned epoch snapshot
 
 	// Resource governor configuration (see governor.go): per-query row /
@@ -295,49 +277,9 @@ func NewExecutor(g *graph.Graph, opts ...Option) *Executor {
 	return ex
 }
 
-// SetIndexPushdown toggles the label+property index pushdown (on by
-// default). Disabling it forces plain label-bucket scans.
-//
-// Deprecated: pass WithIndexPushdown to NewExecutor instead.
-func (ex *Executor) SetIndexPushdown(on bool) { WithIndexPushdown(on)(ex) }
-
-// SetRangePushdown toggles the ordered-index range pushdown (on by
-// default).
-//
-// Deprecated: pass WithRangePushdown to NewExecutor instead.
-func (ex *Executor) SetRangePushdown(on bool) { WithRangePushdown(on)(ex) }
-
-// SetCountFastPath toggles the single-aggregate fast path (on by default).
-//
-// Deprecated: pass WithCountFastPath to NewExecutor instead.
-func (ex *Executor) SetCountFastPath(on bool) { WithCountFastPath(on)(ex) }
-
-// SetReorder toggles cost-based pattern-part ordering (on by default).
-// Disabling it pins the written part order and orientation, which also pins
-// the serial row order — the differential oracle's reference mode.
-//
-// Deprecated: pass WithReorder to NewExecutor instead.
-func (ex *Executor) SetReorder(on bool) { WithReorder(on)(ex) }
-
-// SetShardWorkers configures sharded MATCH execution; see WithShardWorkers.
-//
-// Deprecated: pass WithShardWorkers to NewExecutor instead.
-func (ex *Executor) SetShardWorkers(n int) { WithShardWorkers(n)(ex) }
-
-// ShardWorkerCount reports the configured shard pool size (0 = serial).
-func (ex *Executor) ShardWorkerCount() int { return ex.shardWorkers }
-
-// MorselSize reports the effective morsel size for sharded scans (the
-// configured WithMorselSize value, or the default when unset).
-func (ex *Executor) MorselSize() int { return ex.morselCap() }
-
-// SetPlanCacheCap bounds the plan cache to n entries, evicting
+// setPlanCacheCap bounds the plan cache to n entries, evicting
 // least-recently-used plans beyond the cap immediately. n <= 0 restores
 // the default cap.
-//
-// Deprecated: pass WithPlanCacheCap to NewExecutor instead.
-func (ex *Executor) SetPlanCacheCap(n int) { ex.setPlanCacheCap(n) }
-
 func (ex *Executor) setPlanCacheCap(n int) {
 	ex.planMu.Lock()
 	defer ex.planMu.Unlock()
@@ -430,8 +372,8 @@ func (ex *Executor) Run(src string, params map[string]graph.Value) (*Result, err
 }
 
 // RunCtx is Run with cancellation: execution checks cctx between clauses
-// and periodically inside pattern-matching scans (including sharded
-// ones), returning cctx.Err() promptly once the context is done.
+// and periodically inside pattern-matching scans, returning cctx.Err()
+// promptly once the context is done.
 //
 // RunCtx is the materializing shim over the Session/Cursor API
 // (session.go): it executes the same path a Session's materialized run
@@ -440,9 +382,9 @@ func (ex *Executor) Run(src string, params map[string]graph.Value) (*Result, err
 // should open a Session instead.
 //
 // On execution error the returned *Result is non-nil and carries the
-// execution stats accumulated up to the failure (rows scanned, seeks,
-// shard/morsel metadata), so profiling still works for failed queries;
-// its Rows are meaningless and callers must check err first.
+// execution stats accumulated up to the failure (rows scanned, seeks), so
+// profiling still works for failed queries; its Rows are meaningless and
+// callers must check err first.
 func (ex *Executor) RunCtx(cctx context.Context, src string, params map[string]graph.Value) (*Result, error) {
 	q, hit, err := ex.plan(src)
 	if err != nil {
@@ -469,8 +411,8 @@ func (ex *Executor) Execute(q *Query, params map[string]graph.Value) (*Result, e
 // carries resource budgets (WithMaxRows, WithMemoryBudget,
 // WithQueryDeadline), exceeding one kills the query with a typed
 // *ResourceExhaustedError carrying the partial ExecStats. A panic anywhere
-// in evaluation — serial or inside a morsel worker — is recovered into a
-// *PanicError instead of crashing the process.
+// in evaluation is recovered into a *PanicError instead of crashing the
+// process.
 func (ex *Executor) ExecuteCtx(cctx context.Context, q *Query, params map[string]graph.Value) (res *Result, err error) {
 	if ex.admission != nil {
 		done, aerr := ex.admission.Admit(cctx)
@@ -503,10 +445,10 @@ func (ex *Executor) executeProtected(cctx context.Context, q *Query, params map[
 // otherwise the query materializes as usual and the caller drains res.Rows.
 func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[string]graph.Value, sink *streamSink) (*Result, error) {
 	// Under WithSnapshotPin, a read-only query resolves the graph once to
-	// the current epoch's frozen snapshot: the whole scan — serial, sharded
-	// or morsel-stolen — observes exactly one epoch even while writers
-	// commit concurrently. Mutating queries stay on the live graph (their
-	// writes must publish, and execSet/execDelete need read-your-writes).
+	// the current epoch's frozen snapshot: the whole scan observes exactly
+	// one epoch even while writers commit concurrently. Mutating queries
+	// stay on the live graph (their writes must publish, and
+	// execSet/execDelete need read-your-writes).
 	eg := ex.g
 	if ex.snapshotPin && !QueryMutates(q) {
 		eg = ex.g.Snapshot()
@@ -521,7 +463,7 @@ func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[s
 	res := &Result{}
 	m.exec = &res.Exec
 
-	if sink != nil && ex.shardWorkers == 0 {
+	if sink != nil {
 		if mc, rc, ok := streamFastPlan(q); ok {
 			start := time.Now()
 			err := ex.execMatchStream(ctx, m, mc, rc, res, sink)
@@ -648,24 +590,12 @@ func countFastPlan(q *Query) (*MatchClause, *ReturnItem, bool) {
 // execMatchAggregate is the count fast path: it streams pattern matches
 // into a single aggregate state, skipping row materialization, grouping
 // and projection. Its observable result is identical to the general path.
-// With shard workers configured, the anchor scan is partitioned and the
-// per-shard aggregate states are merged (shard.go).
 func (ex *Executor) execMatchAggregate(ctx *evalCtx, m *matcher, mc *MatchClause, item *ReturnItem, res *Result) error {
 	fc := item.Expr.(*FuncCall)
 	m.ranges = ex.clauseRanges(mc.Where)
 	plan := ex.planMatch(mc.Patterns, nil, m.ranges)
 	recordPlan(m, plan)
 	res.Stats.RowsExamined++
-
-	if ex.shardWorkers >= 1 {
-		st, err := ex.shardAggregate(ctx, m, plan, mc.Where, fc)
-		if err != nil {
-			return err
-		}
-		res.Columns = []string{item.Name()}
-		res.Rows = append(res.Rows, []Datum{st.result()})
-		return nil
-	}
 
 	st := newAggState(fc)
 	err := m.matchAll(plan.parts, Row{}, func(r Row) error {
@@ -711,10 +641,6 @@ func (ex *Executor) execMatch(ctx *evalCtx, m *matcher, cl *MatchClause, in []Ro
 	m.ranges = ex.clauseRanges(cl.Where)
 	plan := ex.planMatch(cl.Patterns, bound, m.ranges)
 	recordPlan(m, plan)
-
-	if ex.shardWorkers >= 1 && len(in) == 1 && anchorUnbound(plan.parts, in[0]) {
-		return ex.execMatchSharded(ctx, m, cl, plan, newVars, in[0], st)
-	}
 
 	var out []Row
 	for _, row := range in {

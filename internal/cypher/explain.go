@@ -39,10 +39,6 @@ func (ex *Executor) Explain(src string) (string, error) {
 			if mp.reordered {
 				line("CostOrder: order=%v reversed=%v est=%v [smallest anchor first]", mp.order, mp.reversed, mp.est)
 			}
-			if ex.shardWorkers >= 1 && anchorUnbound(mp.parts, boundRow(bound)) {
-				line("MorselScan(%d worker(s), morsel size %d) [work-stealing over anchor morsels, merged in tag order]",
-					ex.shardWorkers, ex.morselCap())
-			}
 			for _, part := range mp.parts {
 				ex.explainPart(part, bound, ranges, line)
 			}
@@ -216,18 +212,6 @@ func (ex *Executor) bestLabel(labels []string) (string, int) {
 		}
 	}
 	return best, bestN
-}
-
-// boundRow adapts Explain's bound-variable set to the Row shape
-// anchorUnbound checks (only key presence matters).
-func boundRow(bound map[string]bool) Row {
-	r := make(Row, len(bound))
-	for v, ok := range bound {
-		if ok {
-			r[v] = NullDatum
-		}
-	}
-	return r
 }
 
 func varOrAnon(v string) string {

@@ -43,9 +43,7 @@ func resultSignature(res *Result) string {
 // against the plain scan engine on the same graph.
 func TestFastPathEquivalence(t *testing.T) {
 	g := socialGraph()
-	base := NewExecutor(g)
-	base.SetIndexPushdown(false)
-	base.SetCountFastPath(false)
+	base := NewExecutor(g, WithIndexPushdown(false), WithCountFastPath(false))
 
 	configs := []struct {
 		name               string
@@ -56,9 +54,7 @@ func TestFastPathEquivalence(t *testing.T) {
 		{"both", true, true},
 	}
 	for _, cfg := range configs {
-		ex := NewExecutor(g)
-		ex.SetIndexPushdown(cfg.pushdown)
-		ex.SetCountFastPath(cfg.fastPath)
+		ex := NewExecutor(g, WithIndexPushdown(cfg.pushdown), WithCountFastPath(cfg.fastPath))
 		for _, q := range equivQueries {
 			want, err := base.Run(q, nil)
 			if err != nil {
@@ -241,6 +237,25 @@ func TestExecStatsTimings(t *testing.T) {
 	}
 	if s := res.Exec.String(); !strings.Contains(s, "rows scanned") {
 		t.Errorf("ExecStats.String() = %q", s)
+	}
+}
+
+// TestErrorPathKeepsStats: a query that fails mid-scan still returns a
+// stats-bearing Result — materializing path and count fast path alike — so
+// `profile` after a failure shows the work done before the error.
+func TestErrorPathKeepsStats(t *testing.T) {
+	ex := NewExecutor(chainGraph(100)) // the first Person has idx 0
+	for _, q := range []string{
+		`MATCH (p:Person) WHERE 1 / p.idx >= 0 RETURN p.idx`,
+		`MATCH (p:Person) WHERE 1 / p.idx >= 0 RETURN count(*) AS n`,
+	} {
+		res, err := ex.Run(q, nil)
+		if err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("%q: err = %v, want division by zero", q, err)
+		}
+		if res == nil || res.Exec.RowsScanned == 0 {
+			t.Errorf("%q: error path lost the execution stats: %+v", q, res)
+		}
 	}
 }
 

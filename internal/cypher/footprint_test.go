@@ -201,7 +201,7 @@ func TestSnapshotPinStableScan(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g.AddNode([]string{"N"}, graph.Props{"i": graph.NewInt(int64(i))})
 	}
-	ex := NewExecutor(g, WithSnapshotPin(true), WithShardWorkers(2), WithMorselSize(16))
+	ex := NewExecutor(g, WithSnapshotPin(true))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

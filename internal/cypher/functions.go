@@ -394,8 +394,8 @@ func (c *evalCtx) evalFunc(f *FuncCall, row Row) (Datum, error) {
 
 // testFuncs lets in-package tests register extra scalar functions — the
 // fault-injection hook the governor's panic-recovery regression tests use
-// to detonate a panic deep inside (sharded) evaluation. Empty in
-// production; consulted only after every built-in misses.
+// to detonate a panic deep inside evaluation. Empty in production;
+// consulted only after every built-in misses.
 var testFuncs map[string]func(d Datum) (Datum, error)
 
 // aggState accumulates one aggregate function over the rows of a group.
@@ -449,24 +449,20 @@ func (st *aggState) addValue(v graph.Value) error {
 			return nil
 		}
 		st.distinct[h] = true
-		// Retain every first-seen distinct value so shard-local states can
-		// merge with cross-shard deduplication (see merge); collect reads
-		// the same list as its result.
 		if err := st.bud.chargeMem(aggStateBytes); err != nil {
 			return err
 		}
-		st.items = append(st.items, v)
 	}
 	st.count++
 	st.sawVal = true
 	switch st.fn.Name {
 	case "collect":
-		if st.distinct == nil {
+		if st.distinct == nil { // DISTINCT already charged its map entry
 			if err := st.bud.chargeMem(aggStateBytes); err != nil {
 				return err
 			}
-			st.items = append(st.items, v)
 		}
+		st.items = append(st.items, v)
 	case "sum", "avg":
 		f, ok := v.AsFloat()
 		if !ok {
@@ -518,44 +514,6 @@ func (st *aggState) result() Datum {
 	default:
 		return NullDatum
 	}
-}
-
-// merge folds another state for the same aggregate into st. Shard workers
-// each accumulate a private state over their candidate range; merging the
-// states in shard order reproduces exactly the serial accumulation, because
-// shards partition the serial candidate sequence contiguously. For DISTINCT
-// aggregates the shard-local states retain their first-seen values, which
-// merge replays through addValue so cross-shard duplicates collapse.
-func (st *aggState) merge(o *aggState) error {
-	if st.distinct != nil {
-		for _, v := range o.items {
-			if err := st.addValue(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	st.count += o.count
-	st.sumI += o.sumI
-	st.sumF += o.sumF
-	st.sawFloat = st.sawFloat || o.sawFloat
-	st.sawVal = st.sawVal || o.sawVal
-	st.items = append(st.items, o.items...)
-	if st.minV.IsNull() {
-		st.minV = o.minV
-	} else if !o.minV.IsNull() {
-		if cv, ok := o.minV.Compare(st.minV); ok && cv < 0 {
-			st.minV = o.minV
-		}
-	}
-	if st.maxV.IsNull() {
-		st.maxV = o.maxV
-	} else if !o.maxV.IsNull() {
-		if cv, ok := o.maxV.Compare(st.maxV); ok && cv > 0 {
-			st.maxV = o.maxV
-		}
-	}
-	return nil
 }
 
 // collectAggregates gathers the aggregate FuncCall nodes inside an

@@ -28,6 +28,10 @@ func FuzzParse(f *testing.F) {
 		`MATCH`,
 		`RETURN '\x'`,
 		`RETURN 'unterminated`,
+		// The two shapes that used to overflow the stack (in production at
+		// 5M parentheses / 1M terms; a seed only needs to cross the bound).
+		"RETURN " + nest("(", "1", ")", 2*maxExprDepth),
+		"RETURN " + chain("1", "+1", 2*maxExprDepth),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -11,11 +11,7 @@ package cypher
 // executor pays nothing and a governed one pays one nil check per
 // allocation site.
 //
-// A budget is shared across the morsel workers of a sharded scan (the
-// counters are atomics), so the cap bounds the whole query, not each
-// worker; a budget kill raised inside a worker flows through the existing
-// first-error sibling-cancellation path exactly like any other morsel
-// error. Budgets never change the result of a query that finishes under
+// Budgets never change the result of a query that finishes under
 // them — enforcement only ever truncates with a typed error, which the
 // differential oracle pins (TestBudgetedOracle).
 
@@ -24,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 )
 
@@ -41,8 +36,7 @@ type ResourceExhaustedError struct {
 	// the elapsed nanoseconds when the poll fired.
 	Used int64
 	// Stats are the partial execution stats at the kill: rows scanned,
-	// seeks taken, shard/morsel metadata. Populated by ExecuteCtx on the
-	// way out, after worker stats merge.
+	// seeks taken. Populated by ExecuteCtx on the way out.
 	Stats ExecStats
 }
 
@@ -89,18 +83,15 @@ type Admission interface {
 	Admit(ctx context.Context) (done func(err error), err error)
 }
 
-// budget is one execution's shared resource-budget state. The counters
-// are atomics because a sharded scan's morsel workers charge them
-// concurrently; with no sharding they degrade to uncontended atomic adds,
-// one per materialized row — noise next to the map clone that produced
-// the row.
+// budget is one execution's resource-budget state. A query executes on one
+// goroutine, so the counters are plain integers.
 type budget struct {
 	maxRows int64     // > 0 enables the row cap
 	maxMem  int64     // > 0 enables the memory budget
 	start   time.Time // execution start, for deadline accounting
 	limit   time.Duration
-	rows    atomic.Int64
-	mem     atomic.Int64
+	rows    int64
+	mem     int64
 }
 
 // newBudget builds the execution budget, or nil when no limit is set
@@ -121,8 +112,9 @@ func (b *budget) chargeRows(n int) error {
 	if b == nil || b.maxRows <= 0 {
 		return nil
 	}
-	if used := b.rows.Add(int64(n)); used > b.maxRows {
-		return &ResourceExhaustedError{Resource: "rows", Limit: b.maxRows, Used: used}
+	b.rows += int64(n)
+	if b.rows > b.maxRows {
+		return &ResourceExhaustedError{Resource: "rows", Limit: b.maxRows, Used: b.rows}
 	}
 	return nil
 }
@@ -133,8 +125,9 @@ func (b *budget) chargeMem(n int64) error {
 	if b == nil || b.maxMem <= 0 {
 		return nil
 	}
-	if used := b.mem.Add(n); used > b.maxMem {
-		return &ResourceExhaustedError{Resource: "memory", Limit: b.maxMem, Used: used}
+	b.mem += n
+	if b.mem > b.maxMem {
+		return &ResourceExhaustedError{Resource: "memory", Limit: b.maxMem, Used: b.mem}
 	}
 	return nil
 }
@@ -183,8 +176,8 @@ func (c *evalCtx) bud() *budget {
 }
 
 // finishExhausted stamps the partial execution stats into a budget-kill
-// error on the way out of ExecuteCtx (after worker-stat merging), so the
-// typed error is self-contained even when the caller drops the Result.
+// error on the way out of ExecuteCtx, so the typed error is self-contained
+// even when the caller drops the Result.
 func finishExhausted(err error, res *Result) {
 	var re *ResourceExhaustedError
 	if errors.As(err, &re) && res != nil {

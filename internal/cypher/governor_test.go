@@ -2,15 +2,34 @@ package cypher
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/graphrules/graphrules/internal/datasets"
 	"github.com/graphrules/graphrules/internal/graph"
 )
+
+// chainGraph builds n Person nodes {idx: 0..n-1} linked by NEXT edges in
+// index order, with a Tag node every tenth person. Insertion order is the
+// serial scan order, so row-order regressions are easy to spot.
+func chainGraph(n int) *graph.Graph {
+	g := graph.New("chain")
+	var prev *graph.Node
+	for i := 0; i < n; i++ {
+		p := g.AddNode([]string{"Person"}, graph.Props{"idx": graph.NewInt(int64(i))})
+		if prev != nil {
+			g.MustAddEdge(prev.ID, p.ID, []string{"NEXT"}, nil)
+		}
+		if i%10 == 0 {
+			tag := g.AddNode([]string{"Tag"}, graph.Props{"decade": graph.NewInt(int64(i / 10))})
+			g.MustAddEdge(p.ID, tag.ID, []string{"TAGGED"}, nil)
+		}
+		prev = p
+	}
+	return g
+}
 
 // asExhausted unwraps err to a *ResourceExhaustedError or fails the test.
 func asExhausted(t *testing.T, err error) *ResourceExhaustedError {
@@ -38,18 +57,33 @@ func TestMaxRowsKillSerial(t *testing.T) {
 	}
 }
 
-func TestMaxRowsKillShardedWithPartialStats(t *testing.T) {
+// TestMaxRowsKillConcurrentWithPartialStats: budgets are per query, not
+// per executor. Eight goroutines drive the same over-budget serial query
+// through one shared Executor; each must be killed at exactly its own 26th
+// row (a shared counter would kill later queries early and report a larger
+// Used), and the partial ExecStats stamped into each error at the
+// ExecuteCtx boundary must describe that query's scan.
+func TestMaxRowsKillConcurrentWithPartialStats(t *testing.T) {
 	g := chainGraph(500)
-	ex := NewExecutor(g, WithMaxRows(25), WithShardWorkers(4), WithMorselSize(16))
-	_, err := ex.Run(`MATCH (p:Person) RETURN p.idx`, nil)
-	re := asExhausted(t, err)
-	if re.Resource != "rows" {
-		t.Fatalf("resource=%q, want rows", re.Resource)
+	ex := NewExecutor(g, WithMaxRows(25))
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = ex.Run(`MATCH (p:Person) RETURN p.idx`, nil)
+		}(i)
 	}
-	// The kill happened inside a morsel worker; the partial ExecStats
-	// stamped into the error must still describe the sharded scan.
-	if !re.Stats.Sharded || re.Stats.Morsels == 0 {
-		t.Fatalf("partial stats missing shard metadata: %+v", re.Stats)
+	wg.Wait()
+	for i, err := range errs {
+		re := asExhausted(t, err)
+		if re.Resource != "rows" || re.Used != 26 {
+			t.Errorf("query %d: resource=%q used=%d, want rows/26", i, re.Resource, re.Used)
+		}
+		if re.Stats.RowsScanned == 0 {
+			t.Errorf("query %d: partial stats missing scan work: %+v", i, re.Stats)
+		}
 	}
 }
 
@@ -100,7 +134,7 @@ func TestQueryDeadlineKill(t *testing.T) {
 }
 
 // TestUnderBudgetIdentity: generous budgets must never change results —
-// governed output is byte-identical to ungoverned, serial and sharded.
+// governed output is byte-identical to ungoverned.
 func TestUnderBudgetIdentity(t *testing.T) {
 	g := chainGraph(200)
 	queries := []string{
@@ -110,24 +144,20 @@ func TestUnderBudgetIdentity(t *testing.T) {
 		`MATCH (p:Person) RETURN collect(p.idx) AS xs`,
 		`UNWIND range(0, 20) AS x RETURN x`,
 	}
-	plain := NewExecutor(g)
-	plain.SetReorder(false)
-	for _, workers := range []int{0, 4} {
-		governed := NewExecutor(g,
-			WithMaxRows(1_000_000),
-			WithMemoryBudget(1<<30),
-			WithQueryDeadline(time.Hour),
-			WithShardWorkers(workers))
-		governed.SetReorder(false)
-		for _, q := range queries {
-			want, wantErr := oracleRun(plain, q)
-			got, gotErr := oracleRun(governed, q)
-			if wantErr != gotErr {
-				t.Fatalf("workers=%d %q: err %q vs %q", workers, q, wantErr, gotErr)
-			}
-			if !rowsEqual(want, got) {
-				t.Errorf("workers=%d %q: governed output diverges\nplain:    %v\ngoverned: %v", workers, q, want, got)
-			}
+	plain := NewExecutor(g, WithReorder(false))
+	governed := NewExecutor(g,
+		WithReorder(false),
+		WithMaxRows(1_000_000),
+		WithMemoryBudget(1<<30),
+		WithQueryDeadline(time.Hour))
+	for _, q := range queries {
+		want, wantErr := oracleRun(plain, q)
+		got, gotErr := oracleRun(governed, q)
+		if wantErr != gotErr {
+			t.Fatalf("%q: err %q vs %q", q, wantErr, gotErr)
+		}
+		if !rowsEqual(want, got) {
+			t.Errorf("%q: governed output diverges\nplain:    %v\ngoverned: %v", q, want, got)
 		}
 	}
 }
@@ -152,15 +182,16 @@ func TestPanicRecoveredSerial(t *testing.T) {
 	}
 }
 
-// TestPanicRecoveredSharded: a panic inside one morsel worker flows through
-// the first-error path — the query fails with a *PanicError, sibling
-// workers are cancelled, and the scan's partial stats survive. The executor
-// stays usable afterwards.
-func TestPanicRecoveredSharded(t *testing.T) {
+// TestPanicContainedConcurrent: a panic in one query is contained at its
+// own ExecuteCtx boundary. Eight goroutines share one Executor; the query
+// whose WHERE detonates fails with a *PanicError, the seven healthy queries
+// running beside it complete normally, and the executor stays usable
+// afterwards.
+func TestPanicContainedConcurrent(t *testing.T) {
 	testFuncs = map[string]func(d Datum) (Datum, error){
 		"fuse": func(d Datum) (Datum, error) {
 			if d.Val.Kind() == graph.KindInt && d.Val.Int() == 137 {
-				panic("morsel worker detonation")
+				panic("detonation mid-scan")
 			}
 			return d, nil
 		},
@@ -168,25 +199,48 @@ func TestPanicRecoveredSharded(t *testing.T) {
 	defer func() { testFuncs = nil }()
 
 	g := chainGraph(300)
-	ex := NewExecutor(g, WithShardWorkers(4), WithMorselSize(16))
-	res, err := ex.Run(`MATCH (p:Person) WHERE fuse(p.idx) >= 0 RETURN p.idx`, nil)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PanicError, got %T: %v", err, err)
+	ex := NewExecutor(g)
+	const bomb = 3 // index of the goroutine that runs the detonating query
+	results := make([]*Result, 8)
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := `MATCH (p:Person) WHERE fuse(p.idx) >= 0 AND p.idx < 100 RETURN p.idx`
+			if i == bomb {
+				q = `MATCH (p:Person) WHERE fuse(p.idx) >= 0 RETURN p.idx`
+			}
+			results[i], errs[i] = ex.Run(q, nil)
+		}(i)
 	}
-	if res == nil || !res.Exec.Sharded {
-		t.Fatalf("failed sharded query must still report scan stats, got %+v", res)
+	wg.Wait()
+	for i := range results {
+		if i == bomb {
+			var pe *PanicError
+			if !errors.As(errs[i], &pe) {
+				t.Fatalf("want *PanicError, got %T: %v", errs[i], errs[i])
+			}
+			if pe.Stack == "" {
+				t.Error("PanicError must carry the stack")
+			}
+			continue
+		}
+		if errs[i] != nil || len(results[i].Rows) != 100 {
+			t.Errorf("healthy query %d beside the panic: rows=%v err=%v", i, results[i], errs[i])
+		}
 	}
 
 	// The recovered executor keeps working.
-	res2, err := ex.Run(`MATCH (p:Person) WHERE p.idx < 3 RETURN p.idx`, nil)
-	if err != nil || len(res2.Rows) != 3 {
-		t.Fatalf("executor unusable after recovered panic: rows=%v err=%v", res2, err)
+	res, err := ex.Run(`MATCH (p:Person) WHERE p.idx < 3 RETURN p.idx`, nil)
+	if err != nil || len(res.Rows) != 3 {
+		t.Fatalf("executor unusable after recovered panic: rows=%v err=%v", res, err)
 	}
 }
 
 // BenchmarkGovernedMatch measures governor overhead on the hot scan path:
-// the same sharded two-hop query ungoverned vs under (never-hit) budgets.
+// the same two-hop query ungoverned vs under (never-hit) budgets.
 func BenchmarkGovernedMatch(b *testing.B) {
 	g := chainGraph(2000)
 	q := `MATCH (a:Person)-[:NEXT]->(b:Person) WHERE a.idx >= 0 RETURN a.idx, b.idx`
@@ -201,18 +255,17 @@ func BenchmarkGovernedMatch(b *testing.B) {
 		}
 	}
 	b.Run("ungoverned", func(b *testing.B) {
-		run(b, NewExecutor(g, WithShardWorkers(4)))
+		run(b, NewExecutor(g))
 	})
 	b.Run("governed", func(b *testing.B) {
-		run(b, NewExecutor(g, WithShardWorkers(4),
+		run(b, NewExecutor(g,
 			WithMaxRows(10_000_000), WithMemoryBudget(1<<40), WithQueryDeadline(time.Hour)))
 	})
 }
 
 // TestBudgetedOracle extends the differential oracle with resource budgets:
-// under generous budgets every configuration in a {workers x morsel x
-// pushdown} grid must stay byte-identical to the ungoverned serial
-// reference, and under starvation budgets every run must either still
+// under generous budgets both range-pushdown settings must stay
+// byte-identical to the ungoverned reference, and under starvation budgets every run must either still
 // match the reference exactly or die with the typed budget error — a
 // budget kill is never allowed to degrade into a silently wrong answer.
 func TestBudgetedOracle(t *testing.T) {
@@ -228,35 +281,22 @@ func TestBudgetedOracle(t *testing.T) {
 		corpus = append(corpus, sch.randomQuery(rng))
 	}
 
-	// No-reorder grid: row order must be byte-identical to serial, so the
-	// budget comparison is exact, not just set-equal.
-	var grid []oracleConfig
-	for _, shard := range []int{0, 2, 8} {
-		for _, morsel := range []int{0, 17} {
-			if shard == 0 && morsel != 0 {
-				continue
-			}
-			for _, pushdown := range []bool{true, false} {
-				if shard == 0 && pushdown {
-					continue // the ungoverned serial reference itself
-				}
-				grid = append(grid, oracleConfig{
-					name:  fmt.Sprintf("shard%d-m%d-push%v", shard, morsel, pushdown),
-					shard: shard, pushdown: pushdown, morsel: morsel,
-				})
-			}
-		}
+	// Row order must be byte-identical to the reference: the budget
+	// comparison is exact, not just set-equal.
+	grid := []oracleConfig{
+		{name: "push", pushdown: true},
+		{name: "nopush", pushdown: false},
 	}
 
-	ref := newOracleExecutor(g, oracleConfig{shard: 0, reorder: false, pushdown: true})
+	ref := newOracleExecutor(g, oracleRef)
 	generous := func(cfg oracleConfig) *Executor {
 		return NewExecutor(g,
-			WithShardWorkers(cfg.shard), WithRangePushdown(cfg.pushdown), WithMorselSize(cfg.morsel),
+			WithRangePushdown(cfg.pushdown),
 			WithMaxRows(1<<20), WithMemoryBudget(1<<30), WithQueryDeadline(time.Minute))
 	}
 	starved := func(cfg oracleConfig) *Executor {
 		return NewExecutor(g,
-			WithShardWorkers(cfg.shard), WithRangePushdown(cfg.pushdown), WithMorselSize(cfg.morsel),
+			WithRangePushdown(cfg.pushdown),
 			WithMaxRows(2))
 	}
 
@@ -291,20 +331,4 @@ func TestBudgetedOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-// renderRows canonicalizes a result like oracleRunSeeks does.
-func renderRows(res *Result) []string {
-	rows := make([]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		var b strings.Builder
-		for i, d := range r {
-			if i > 0 {
-				b.WriteByte('|')
-			}
-			b.WriteString(d.Hashable())
-		}
-		rows = append(rows, b.String())
-	}
-	return rows
 }

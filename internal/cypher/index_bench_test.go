@@ -2,6 +2,8 @@ package cypher
 
 import (
 	"testing"
+
+	"github.com/graphrules/graphrules/internal/datasets"
 )
 
 // Benchmarks comparing ordered-index range seeks against the equivalent
@@ -13,8 +15,11 @@ import (
 
 func benchIndexQuery(b *testing.B, query string, pushdown bool) {
 	b.Helper()
-	ex := benchGraph(b)
-	WithRangePushdown(pushdown)(ex)
+	gen, err := datasets.ByName("WWC2019")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := NewExecutor(gen(datasets.Options{Seed: 42, ViolationRate: 0.03}), WithRangePushdown(pushdown))
 	// Warm the ordered index outside the timed region so the seek variant
 	// measures steady-state lookups, not the one-time build.
 	if _, err := ex.Run(query, nil); err != nil {

@@ -2,10 +2,10 @@ package cypher
 
 // MVCC soak: concurrent epoch publishers against live snapshot-pinned
 // scans. This is the test the race detector is for — batches of mutations
-// commit as fast as they can while sharded morsel scans and ordered-index
-// range seeks run against pinned snapshots, and a cancellation storm
-// checks that aborted sharded queries join all their workers (no goroutine
-// leak). Beyond -race cleanliness, every scan asserts the semantic
+// commit as fast as they can while several goroutines drive serial label
+// scans and ordered-index range seeks through one shared Executor against
+// pinned snapshots, and a cancellation storm checks that aborted queries
+// leave no goroutine behind. Beyond -race cleanliness, every scan asserts the semantic
 // invariant: a pinned query observes exactly one epoch, so its aggregates
 // are internally consistent even though writers never pause.
 
@@ -48,7 +48,7 @@ func TestMVCCSoakPublishersVsScans(t *testing.T) {
 	}
 	const base = 500
 	g := soakGraph(base)
-	ex := NewExecutor(g, WithSnapshotPin(true), WithShardWorkers(4), WithMorselSize(32))
+	ex := NewExecutor(g, WithSnapshotPin(true))
 
 	deadline := time.After(2 * time.Second)
 	stop := make(chan struct{})
@@ -103,7 +103,8 @@ func TestMVCCSoakPublishersVsScans(t *testing.T) {
 		}
 	}()
 
-	// Readers: morsel label scans and range seeks against pinned views.
+	// Readers: concurrent serial label scans and range seeks against pinned
+	// views, all on the one shared executor.
 	queries := []struct {
 		src   string
 		check func(t *testing.T, total, part int64)
@@ -161,12 +162,13 @@ func TestMVCCSoakPublishersVsScans(t *testing.T) {
 	t.Logf("soak published %d epochs, final epoch %d", published.Load(), g.Epoch())
 }
 
-// TestMVCCSoakCancellationNoLeak cancels sharded pinned queries mid-flight
-// while publishers keep committing, then requires the goroutine count to
-// settle back to baseline: aborted morsel workers must all be joined.
+// TestMVCCSoakCancellationNoLeak cancels pinned queries mid-flight from
+// four goroutines sharing one executor while a publisher keeps committing,
+// then requires the goroutine count to settle back to baseline: an aborted
+// query must leave nothing running.
 func TestMVCCSoakCancellationNoLeak(t *testing.T) {
 	g := soakGraph(300)
-	ex := NewExecutor(g, WithSnapshotPin(true), WithShardWorkers(8), WithMorselSize(8))
+	ex := NewExecutor(g, WithSnapshotPin(true))
 	before := runtime.NumGoroutine()
 
 	stop := make(chan struct{})
@@ -187,14 +189,23 @@ func TestMVCCSoakCancellationNoLeak(t *testing.T) {
 
 	// A cross-product query big enough that cancellation lands mid-scan.
 	src := `MATCH (a:S), (b:S), (c:S) RETURN count(*) AS n`
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%5)*time.Millisecond)
-		_, err := ex.RunCtx(ctx, src, nil)
-		cancel()
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-			t.Fatalf("run %d: %v", i, err)
-		}
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; i < 5; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+(r+i)%5)*time.Millisecond)
+				_, err := ex.RunCtx(ctx, src, nil)
+				cancel()
+				if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+					t.Errorf("reader %d run %d: %v", r, i, err)
+					return
+				}
+			}
+		}(r)
 	}
+	readers.Wait()
 	close(stop)
 	wg.Wait()
 
@@ -218,7 +229,7 @@ func TestMVCCSoakMaintainerUnderWriters(t *testing.T) {
 		t.Skip("soak skipped in -short")
 	}
 	g := soakGraph(200)
-	ex := NewExecutor(g, WithSnapshotPin(true), WithShardWorkers(2), WithMorselSize(16))
+	ex := NewExecutor(g, WithSnapshotPin(true))
 
 	var subRuns atomic.Int64
 	cancel := g.OnCommit(func(d *graph.Delta) {

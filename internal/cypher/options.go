@@ -5,15 +5,13 @@ import "time"
 // Option configures an Executor at construction:
 //
 //	ex := cypher.NewExecutor(g,
-//		cypher.WithShardWorkers(8),
 //		cypher.WithPlanCacheCap(256),
 //		cypher.WithRangePushdown(false),
 //	)
 //
-// Options are the one place executor knobs are defined; the legacy Set*
-// methods are deprecated shims over them, and the graphrules facade and
-// mining.Config forward []Option verbatim, so a new knob added here is
-// immediately reachable from every API layer.
+// Options are the one place executor knobs are defined; the graphrules
+// facade and mining.Config forward []Option verbatim, so every knob here
+// is reachable from every API layer.
 type Option func(*Executor)
 
 // WithIndexPushdown toggles the label+property equality index pushdown (on
@@ -42,34 +40,6 @@ func WithReorder(on bool) Option {
 	return func(ex *Executor) { ex.noReorder = !on }
 }
 
-// WithShardWorkers configures sharded MATCH execution: eligible anchor
-// scans are partitioned across n workers and merged in shard order,
-// preserving the serial row order. n <= 0 keeps the plain serial path;
-// n == 1 runs the shard machinery with a single shard (useful for
-// differential tests).
-func WithShardWorkers(n int) Option {
-	return func(ex *Executor) {
-		if n < 0 {
-			n = 0
-		}
-		ex.shardWorkers = n
-	}
-}
-
-// WithMorselSize sets how many anchor candidates each morsel of a sharded
-// scan covers (default 256). Shard workers steal morsels from a shared
-// queue and per-morsel outputs are reassembled in candidate order, so the
-// size only trades scheduling overhead against load balance — it never
-// changes results. n <= 0 restores the default.
-func WithMorselSize(n int) Option {
-	return func(ex *Executor) {
-		if n < 0 {
-			n = 0
-		}
-		ex.morselSize = n
-	}
-}
-
 // WithPlanCacheCap bounds the plan cache to n entries, evicting
 // least-recently-used plans beyond the cap. n <= 0 keeps the default cap.
 func WithPlanCacheCap(n int) Option {
@@ -77,9 +47,9 @@ func WithPlanCacheCap(n int) Option {
 }
 
 // WithMaxRows caps the number of rows one query may materialize (matched
-// rows, OPTIONAL padding rows, UNWIND expansions) summed across all shard
-// workers. Exceeding it kills the query with a *ResourceExhaustedError
-// carrying the partial ExecStats. n <= 0 disables the cap (default).
+// rows, OPTIONAL padding rows, UNWIND expansions). Exceeding it kills the
+// query with a *ResourceExhaustedError carrying the partial ExecStats.
+// n <= 0 disables the cap (default).
 // A query that finishes under the cap is byte-identical to ungoverned.
 func WithMaxRows(n int) Option {
 	return func(ex *Executor) {

@@ -1,19 +1,16 @@
 package cypher
 
-// Differential oracle for the sharded, cost-reordered executor: every query
-// in a corpus (a fixed schema-derived set plus seeded randomized queries)
-// runs under the serial no-reorder reference configuration and under the
-// full {workers 0,1,2,8} x {reorder on/off} x {range pushdown on/off} x
-// {morsel size default/17} grid, and the results must agree. No-reorder
-// configurations must reproduce the serial row order exactly (tag-ordered
-// morsel merge preserves it, and range seeks return candidates in
-// scan-equivalent order); reorder-on configurations are compared as
+// Differential oracle for the cost-reordered executor: every query in a
+// corpus (a fixed schema-derived set plus seeded randomized queries) runs
+// under the no-reorder, pushdown-on reference configuration and under the
+// other three points of the {reorder on/off} x {range pushdown on/off}
+// grid, and the results must agree. The no-reorder configuration must
+// reproduce the reference row order exactly (range seeks return candidates
+// in scan-equivalent order); reorder-on configurations are compared as
 // canonically sorted row multisets, since part reordering is allowed to
-// permute unordered results. Sharded configurations must additionally
-// report ExecStats.Seeks identical to the serial run with the same
-// reorder/pushdown flags: the morsel merge dedups worker seek records by
-// the same identity recordSeek uses, so entries, order, Est and Rows all
-// survive parallel execution unchanged.
+// permute unordered results. Queries are checked from a worker pool over
+// shared executors, so the oracle also exercises the engine's only
+// parallelism: concurrent serial queries on one Executor.
 //
 // Environment knobs (all optional):
 //
@@ -26,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -41,78 +37,39 @@ import (
 
 type oracleConfig struct {
 	name     string
-	shard    int
 	reorder  bool
 	pushdown bool // range/edge pushdown (reference runs with it ON)
-	morsel   int  // morsel size for sharded configs (0 = default 256)
 }
 
-// oracleGrid is every configuration compared against the serial reference:
-// the full cross product of shard workers, reorder, range pushdown and
-// morsel size, minus the reference configuration itself (shard 0, no
-// reorder, pushdown). Morsel size only exists for sharded configurations;
-// 17 is small and odd, so every dataset's anchor scans cut into many
-// ragged morsels and the work-stealing reassembly is exercised hard.
-var oracleGrid = buildOracleGrid()
+// oracleRef is the reference configuration: parts run as written, range
+// pushdown on.
+var oracleRef = oracleConfig{name: "noreorder", reorder: false, pushdown: true}
 
-func buildOracleGrid() []oracleConfig {
-	var grid []oracleConfig
-	for _, shard := range []int{0, 1, 2, 8} {
-		for _, morsel := range []int{0, 17} {
-			if shard == 0 && morsel != 0 {
-				continue // morsel size is meaningless without workers
-			}
-			for _, reorder := range []bool{false, true} {
-				for _, pushdown := range []bool{true, false} {
-					if shard == 0 && !reorder && pushdown {
-						continue // the serial reference itself
-					}
-					name := fmt.Sprintf("shard%d", shard)
-					if reorder {
-						name += "-reorder"
-					} else {
-						name += "-noreorder"
-					}
-					if !pushdown {
-						name += "-nopush"
-					}
-					if morsel != 0 {
-						name += fmt.Sprintf("-m%d", morsel)
-					}
-					grid = append(grid, oracleConfig{
-						name: name, shard: shard, reorder: reorder, pushdown: pushdown, morsel: morsel,
-					})
-				}
-			}
-		}
-	}
-	return grid
+// oracleGrid is every configuration compared against oracleRef: the
+// reorder x range-pushdown cross product minus the reference itself.
+var oracleGrid = []oracleConfig{
+	{name: "noreorder-nopush", reorder: false, pushdown: false},
+	{name: "reorder", reorder: true, pushdown: true},
+	{name: "reorder-nopush", reorder: true, pushdown: false},
 }
 
 func newOracleExecutor(g *graph.Graph, cfg oracleConfig) *Executor {
-	return NewExecutor(g,
-		WithShardWorkers(cfg.shard),
-		WithReorder(cfg.reorder),
-		WithRangePushdown(cfg.pushdown),
-		WithMorselSize(cfg.morsel),
-	)
+	return NewExecutor(g, WithReorder(cfg.reorder), WithRangePushdown(cfg.pushdown))
 }
 
 // oracleRun executes one query and renders every result row to a canonical
 // string (column order is part of the rendering, row order is preserved).
 func oracleRun(ex *Executor, src string) (rows []string, errStr string) {
-	rows, _, errStr = oracleRunSeeks(ex, src)
-	return rows, errStr
-}
-
-// oracleRunSeeks is oracleRun plus the run's recorded index-seek stats, for
-// the serial-vs-sharded seek parity comparison.
-func oracleRunSeeks(ex *Executor, src string) (rows []string, seeks []SeekInfo, errStr string) {
 	res, err := ex.Run(src, nil)
 	if err != nil {
-		return nil, nil, err.Error()
+		return nil, err.Error()
 	}
-	rows = make([]string, 0, len(res.Rows))
+	return renderRows(res), ""
+}
+
+// renderRows canonicalizes a result's rows, preserving row order.
+func renderRows(res *Result) []string {
+	rows := make([]string, 0, len(res.Rows))
 	for _, r := range res.Rows {
 		var b strings.Builder
 		for i, d := range r {
@@ -123,7 +80,7 @@ func oracleRunSeeks(ex *Executor, src string) (rows []string, seeks []SeekInfo, 
 		}
 		rows = append(rows, b.String())
 	}
-	return rows, res.Exec.Seeks, ""
+	return rows
 }
 
 func sortedCopy(rows []string) []string {
@@ -190,7 +147,7 @@ func TestDifferentialOracle(t *testing.T) {
 				corpus = append(corpus, sch.randomQuery(rng))
 			}
 
-			ref := newOracleExecutor(g, oracleConfig{shard: 0, reorder: false, pushdown: true})
+			ref := newOracleExecutor(g, oracleRef)
 			grid := make([]*Executor, len(oracleGrid))
 			for i, cfg := range oracleGrid {
 				grid[i] = newOracleExecutor(g, cfg)
@@ -205,15 +162,10 @@ func TestDifferentialOracle(t *testing.T) {
 				mu   sync.Mutex
 			)
 			checkQuery := func(q string) {
-				refRows, refSeeks, refErr := oracleRunSeeks(ref, q)
+				refRows, refErr := oracleRun(ref, q)
 				refSorted := sortedCopy(refRows)
-				// Serial Seeks per (reorder, pushdown) flag pair: sharded
-				// configurations must reproduce the same-flags serial list
-				// exactly. The grid iterates shard 0 first, so every pair is
-				// recorded before a sharded configuration reads it.
-				comboSeeks := map[[2]bool][]SeekInfo{{false, true}: refSeeks}
 				for i, cfg := range oracleGrid {
-					gotRows, gotSeeks, gotErr := oracleRunSeeks(grid[i], q)
+					gotRows, gotErr := oracleRun(grid[i], q)
 					fail := func(kind, detail string) {
 						mu.Lock()
 						defer mu.Unlock()
@@ -229,21 +181,14 @@ func TestDifferentialOracle(t *testing.T) {
 						continue // both failed; nothing further to compare
 					}
 					if !cfg.reorder {
-						// Same written part order and tag-ordered morsel merge:
-						// row order must be byte-identical to serial.
+						// Same written part order: row order must be
+						// byte-identical to the reference.
 						if !rowsEqual(refRows, gotRows) {
-							fail("row-order divergence", fmt.Sprintf("serial order %v\n%s order %v", refRows, cfg.name, gotRows))
+							fail("row-order divergence", fmt.Sprintf("reference order %v\n%s order %v", refRows, cfg.name, gotRows))
 							return
 						}
 					} else if !rowsEqual(refSorted, sortedCopy(gotRows)) {
-						fail("result-set divergence", fmt.Sprintf("serial sorted %v\n%s sorted %v", refSorted, cfg.name, sortedCopy(gotRows)))
-						return
-					}
-					key := [2]bool{cfg.reorder, cfg.pushdown}
-					if cfg.shard == 0 {
-						comboSeeks[key] = gotSeeks
-					} else if serialSeeks, ok := comboSeeks[key]; ok && !reflect.DeepEqual(serialSeeks, gotSeeks) {
-						fail("seek-stats divergence", fmt.Sprintf("serial seeks %v\n%s seeks %v", serialSeeks, cfg.name, gotSeeks))
+						fail("result-set divergence", fmt.Sprintf("reference sorted %v\n%s sorted %v", refSorted, cfg.name, sortedCopy(gotRows)))
 						return
 					}
 				}
@@ -583,7 +528,7 @@ func (sch *oracleSchema) tryRandomQuery(rng *rand.Rand) (string, bool) {
 			}
 		}
 		return "", false
-	case 10: // integer sum / avg (exact at any shard count)
+	case 10: // integer sum / min / max
 		l := pick(rng, sch.labels)
 		if len(sch.intProps[l]) == 0 {
 			return "", false

@@ -22,9 +22,24 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
+// maxExprDepth bounds how deep an expression may nest. It caps the
+// parser's own recursion (parentheses, list and map literals, CASE, call
+// arguments, NOT / unary-sign chains) and, separately, the height of the
+// tree it builds — a left-associative chain such as 1+1+… adds a level per
+// operator without recursing — so neither the parser nor any recursive
+// consumer of the AST (evaluator, linter, String) can be driven into Go's
+// unrecoverable stack overflow by query text. It is a constant, not an
+// option: real queries nest a handful of levels.
+const maxExprDepth = 1000
+
 type parser struct {
 	toks []Token
 	pos  int
+
+	depth int // live recursive-descent nesting
+	// height is the AST height of the expression last parsed (for a
+	// pattern or map literal: of its tallest property expression, 0 if none).
+	height int
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
@@ -89,6 +104,30 @@ func (p *parser) expectKeyword(kw string) error {
 
 func (p *parser) errf(format string, args ...any) error {
 	return &SyntaxError{Pos: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// descend enters one level of parser recursion; the caller decrements
+// p.depth when the recursive call returns.
+func (p *parser) descend() error {
+	p.depth++
+	return p.checkDepth(p.depth)
+}
+
+func (p *parser) checkDepth(n int) error {
+	if n > maxExprDepth {
+		return p.errf("expression nests deeper than %d levels", maxExprDepth)
+	}
+	return nil
+}
+
+// grow records a node built over the expression last parsed and siblings
+// whose tallest has height sib: p.height becomes the new node's height.
+func (p *parser) grow(sib int) error {
+	if sib > p.height {
+		p.height = sib
+	}
+	p.height++
+	return p.checkDepth(p.height)
 }
 
 func (p *parser) parseQuery() (*Query, error) {
@@ -181,6 +220,7 @@ func (p *parser) parsePattern() (*PatternPart, error) {
 		return nil, err
 	}
 	part.Nodes = append(part.Nodes, n)
+	tallest := p.height
 	for {
 		t := p.peek()
 		if t.Type != TokMinus && t.Type != TokLt {
@@ -190,13 +230,16 @@ func (p *parser) parsePattern() (*PatternPart, error) {
 		if err != nil {
 			return nil, err
 		}
+		tallest = max(tallest, p.height)
 		n, err := p.parseNodePattern()
 		if err != nil {
 			return nil, err
 		}
+		tallest = max(tallest, p.height)
 		part.Rels = append(part.Rels, rel)
 		part.Nodes = append(part.Nodes, n)
 	}
+	p.height = tallest
 	return part, nil
 }
 
@@ -206,6 +249,7 @@ func (p *parser) parseNodePattern() (*NodePattern, error) {
 		return nil, err
 	}
 	n := &NodePattern{}
+	p.height = 0
 	if t := p.peek(); t.Type == TokIdent {
 		n.Var = t.Text
 		p.next()
@@ -248,6 +292,7 @@ func (p *parser) parseLabelName() (Token, error) {
 
 func (p *parser) parseRelPattern() (*RelPattern, error) {
 	r := &RelPattern{MinHops: 1, MaxHops: 1}
+	p.height = 0
 	start := p.peek().Pos
 	if p.accept(TokLt) {
 		r.Direction = DirIn
@@ -329,9 +374,11 @@ func (p *parser) parseMapLiteral() (map[string]Expr, error) {
 		return nil, err
 	}
 	props := map[string]Expr{}
+	p.height = 0
 	if p.accept(TokRBrace) {
 		return props, nil
 	}
+	tallest := 0
 	for {
 		keyTok := p.peek()
 		if keyTok.Type != TokIdent && keyTok.Type != TokKeyword {
@@ -346,6 +393,7 @@ func (p *parser) parseMapLiteral() (map[string]Expr, error) {
 			return nil, err
 		}
 		props[keyTok.Name()] = v
+		tallest = max(tallest, p.height)
 		if p.accept(TokComma) {
 			continue
 		}
@@ -354,6 +402,7 @@ func (p *parser) parseMapLiteral() (map[string]Expr, error) {
 	if _, err := p.expect(TokRBrace, "'}' closing a map"); err != nil {
 		return nil, err
 	}
+	p.height = tallest
 	return props, nil
 }
 
@@ -573,62 +622,68 @@ func (p *parser) parseDelete() (*DeleteClause, error) {
 
 // ---------- expressions ----------
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	p.depth--
+	return e, err
+}
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseXor()
+// binary parses op's right operand with next and links it over l.
+func (p *parser) binary(op BinaryOp, opSpan Span, l Expr, next func() (Expr, error)) (Expr, error) {
+	hl := p.height
+	r, err := next()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKeyword("OR") {
-		r, err := p.parseXor()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: OpOr, L: l, R: r}
+	if err := p.grow(hl); err != nil {
+		return nil, err
 	}
-	return l, nil
+	return &Binary{Op: op, L: l, R: r, OpSpan: opSpan}, nil
+}
+
+func (p *parser) parseOr() (Expr, error) {
+	l, err := p.parseXor()
+	for err == nil && p.acceptKeyword("OR") {
+		l, err = p.binary(OpOr, Span{}, l, p.parseXor)
+	}
+	return l, err
 }
 
 func (p *parser) parseXor() (Expr, error) {
 	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+	for err == nil && p.acceptKeyword("XOR") {
+		l, err = p.binary(OpXor, Span{}, l, p.parseAnd)
 	}
-	for p.acceptKeyword("XOR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: OpXor, L: l, R: r}
-	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parseAnd() (Expr, error) {
 	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
+	for err == nil && p.acceptKeyword("AND") {
+		l, err = p.binary(OpAnd, Span{}, l, p.parseNot)
 	}
-	for p.acceptKeyword("AND") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: OpAnd, L: l, R: r}
-	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("NOT") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Not{E: e}, nil
+	if !p.acceptKeyword("NOT") {
+		return p.parseComparison()
 	}
-	return p.parseComparison()
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseNot()
+	p.depth--
+	if err != nil {
+		return nil, err
+	}
+	if err := p.grow(0); err != nil {
+		return nil, err
+	}
+	return &Not{E: e}, nil
 }
 
 var compOps = map[TokenType]BinaryOp{
@@ -636,151 +691,102 @@ var compOps = map[TokenType]BinaryOp{
 	TokLte: OpLte, TokGte: OpGte, TokRegex: OpRegex,
 }
 
+// compKeywordOps are the keyword-spelled comparison operators; STARTS and
+// ENDS are followed by WITH.
+var compKeywordOps = map[string]BinaryOp{
+	"IN": OpIn, "STARTS": OpStartsWith, "ENDS": OpEndsWith, "CONTAINS": OpContains,
+}
+
 func (p *parser) parseComparison() (Expr, error) {
 	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for {
+	for err == nil {
 		t := p.peek()
-		if op, ok := compOps[t.Type]; ok {
-			p.next()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: op, L: l, R: r, OpSpan: t.Span()}
-			continue
-		}
-		if t.Type == TokKeyword {
-			switch t.Text {
-			case "IN":
-				p.next()
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &Binary{Op: OpIn, L: l, R: r, OpSpan: t.Span()}
-				continue
-			case "STARTS":
-				p.next()
-				if err := p.expectKeyword("WITH"); err != nil {
-					return nil, err
-				}
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &Binary{Op: OpStartsWith, L: l, R: r, OpSpan: t.Span()}
-				continue
-			case "ENDS":
-				p.next()
-				if err := p.expectKeyword("WITH"); err != nil {
-					return nil, err
-				}
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &Binary{Op: OpEndsWith, L: l, R: r, OpSpan: t.Span()}
-				continue
-			case "CONTAINS":
-				p.next()
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &Binary{Op: OpContains, L: l, R: r, OpSpan: t.Span()}
-				continue
-			case "IS":
+		op, ok := compOps[t.Type]
+		if !ok && t.Type == TokKeyword {
+			if t.Text == "IS" {
 				p.next()
 				negate := p.acceptKeyword("NOT")
 				if err := p.expectKeyword("NULL"); err != nil {
 					return nil, err
 				}
+				if err := p.grow(0); err != nil {
+					return nil, err
+				}
 				l = &IsNull{E: l, Negate: negate}
 				continue
 			}
+			op, ok = compKeywordOps[t.Text]
 		}
-		return l, nil
+		if !ok {
+			break
+		}
+		p.next()
+		if op == OpStartsWith || op == OpEndsWith {
+			if err := p.expectKeyword("WITH"); err != nil {
+				return nil, err
+			}
+		}
+		l, err = p.binary(op, t.Span(), l, p.parseAdditive)
 	}
+	return l, err
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
 	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
+	for err == nil {
+		var op BinaryOp
 		switch p.peek().Type {
 		case TokPlus:
-			p.next()
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpAdd, L: l, R: r}
+			op = OpAdd
 		case TokMinus:
-			p.next()
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpSub, L: l, R: r}
+			op = OpSub
 		default:
 			return l, nil
 		}
+		p.next()
+		l, err = p.binary(op, Span{}, l, p.parseMultiplicative)
 	}
+	return l, err
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {
 	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
+	for err == nil {
+		var op BinaryOp
 		switch p.peek().Type {
 		case TokStar:
-			p.next()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpMul, L: l, R: r}
+			op = OpMul
 		case TokSlash:
-			p.next()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpDiv, L: l, R: r}
+			op = OpDiv
 		case TokPercent:
-			p.next()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: OpMod, L: l, R: r}
+			op = OpMod
 		default:
 			return l, nil
 		}
+		p.next()
+		l, err = p.binary(op, Span{}, l, p.parseUnary)
 	}
+	return l, err
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	switch p.peek().Type {
-	case TokMinus:
-		p.next()
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Neg{E: e}, nil
-	case TokPlus:
-		p.next()
-		return p.parseUnary()
+	sign := p.peek().Type
+	if sign != TokMinus && sign != TokPlus {
+		return p.parsePostfix()
 	}
-	return p.parsePostfix()
+	p.next()
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseUnary()
+	p.depth--
+	if err != nil || sign == TokPlus {
+		return e, err
+	}
+	if err := p.grow(0); err != nil {
+		return nil, err
+	}
+	return &Neg{E: e}, nil
 }
 
 func (p *parser) parsePostfix() (Expr, error) {
@@ -797,14 +803,21 @@ func (p *parser) parsePostfix() (Expr, error) {
 				return nil, p.errf("expected property key after '.', found %s", t)
 			}
 			p.next()
+			if err := p.grow(0); err != nil {
+				return nil, err
+			}
 			e = &PropAccess{Target: e, Key: t.Name(), KeySpan: t.Span()}
 		case TokLBracket:
 			p.next()
+			ht := p.height
 			sub, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			if _, err := p.expect(TokRBracket, "']'"); err != nil {
+				return nil, err
+			}
+			if err := p.grow(ht); err != nil {
 				return nil, err
 			}
 			e = &Index{Target: e, Sub: sub}
@@ -827,6 +840,9 @@ func (p *parser) parsePostfix() (Expr, error) {
 				p.next() // label
 				labels = append(labels, nt.Name())
 			}
+			if err := p.grow(0); err != nil {
+				return nil, err
+			}
 			e = &HasLabels{E: e, Labels: labels}
 		default:
 			return e, nil
@@ -836,6 +852,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 
 func (p *parser) parseAtom() (Expr, error) {
 	t := p.peek()
+	p.height = 1 // leaves; composite atoms grow it below
 	switch t.Type {
 	case TokInt:
 		p.next()
@@ -868,18 +885,23 @@ func (p *parser) parseAtom() (Expr, error) {
 		if p.accept(TokRBracket) {
 			return lst, nil
 		}
+		tallest := 0
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			lst.Elems = append(lst.Elems, e)
+			tallest = max(tallest, p.height)
 			if p.accept(TokComma) {
 				continue
 			}
 			break
 		}
 		if _, err := p.expect(TokRBracket, "']' closing a list"); err != nil {
+			return nil, err
+		}
+		if err := p.grow(tallest); err != nil {
 			return nil, err
 		}
 		return lst, nil
@@ -945,6 +967,9 @@ func (p *parser) parseExistsBody() (Expr, error) {
 		if _, err := p.expect(TokRBrace, "'}' closing EXISTS"); err != nil {
 			return nil, err
 		}
+		if err := p.grow(0); err != nil {
+			return nil, err
+		}
 		return &PatternPred{Pattern: pat}, nil
 	}
 	if _, err := p.expect(TokLParen, "'(' after EXISTS"); err != nil {
@@ -963,16 +988,19 @@ func (p *parser) parseExistsBody() (Expr, error) {
 	if _, err := p.expect(TokRParen, "')' closing EXISTS"); err != nil {
 		return nil, err
 	}
+	if err := p.grow(0); err != nil {
+		return nil, err
+	}
 	return &FuncCall{Name: "exists", Args: []Expr{arg}}, nil
 }
 
 // tryParsePatternPred attempts to parse a pattern predicate starting at the
 // current '(' token. It backtracks and reports false when the tokens do not
-// form a multi-element pattern.
+// form a multi-element pattern (or form one too tall to keep).
 func (p *parser) tryParsePatternPred() (Expr, bool) {
 	save := p.pos
 	pat, err := p.parsePattern()
-	if err != nil || len(pat.Rels) == 0 {
+	if err != nil || len(pat.Rels) == 0 || p.grow(0) != nil {
 		p.pos = save
 		return nil, false
 	}
@@ -995,6 +1023,7 @@ func (p *parser) parseFuncCall() (Expr, error) {
 			return e, nil
 		}
 	}
+	p.height = 1 // an argument-less call is a leaf
 	if p.peek().Type == TokStar {
 		p.next()
 		fc.Star = true
@@ -1009,18 +1038,23 @@ func (p *parser) parseFuncCall() (Expr, error) {
 	if p.acceptKeyword("DISTINCT") {
 		fc.Distinct = true
 	}
+	tallest := 0
 	for {
 		a, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		fc.Args = append(fc.Args, a)
+		tallest = max(tallest, p.height)
 		if p.accept(TokComma) {
 			continue
 		}
 		break
 	}
 	if _, err := p.expect(TokRParen, "')' closing call"); err != nil {
+		return nil, err
+	}
+	if err := p.grow(tallest); err != nil {
 		return nil, err
 	}
 	return fc, nil
@@ -1031,18 +1065,21 @@ func (p *parser) parseCase() (Expr, error) {
 		return nil, err
 	}
 	c := &CaseExpr{}
+	tallest := 0
 	if !p.peekKeyword("WHEN") {
 		op, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		c.Operand = op
+		tallest = p.height
 	}
 	for p.acceptKeyword("WHEN") {
 		w, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		tallest = max(tallest, p.height)
 		if err := p.expectKeyword("THEN"); err != nil {
 			return nil, err
 		}
@@ -1050,6 +1087,7 @@ func (p *parser) parseCase() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		tallest = max(tallest, p.height)
 		c.Whens = append(c.Whens, w)
 		c.Thens = append(c.Thens, th)
 	}
@@ -1062,8 +1100,12 @@ func (p *parser) parseCase() (Expr, error) {
 			return nil, err
 		}
 		c.Else = e
+		tallest = max(tallest, p.height)
 	}
 	if err := p.expectKeyword("END"); err != nil {
+		return nil, err
+	}
+	if err := p.grow(tallest); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -112,6 +112,17 @@ func (ex *Executor) planMatch(parts []*PatternPart, bound map[string]bool, range
 	return plan
 }
 
+// recordPlan publishes the chosen part order and estimates to the execution
+// stats so Explain and the REPL profile command can show them.
+func recordPlan(m *matcher, plan *matchPlan) {
+	if m.exec == nil || len(plan.order) == 0 {
+		return
+	}
+	m.exec.PartOrder = append([]int(nil), plan.order...)
+	m.exec.PartEst = append([]float64(nil), plan.est...)
+	m.exec.Reordered = plan.reordered
+}
+
 // estAnchor estimates how many candidate nodes anchoring the part
 // enumerates, mirroring the matcher's actual anchor choice (bound variable,
 // equality or range index seek, edge-derived anchor, smallest label bucket,

@@ -183,53 +183,6 @@ func TestExistsSuspendsRanges(t *testing.T) {
 	}
 }
 
-// TestOptionsAndShimsAgree pins the functional options API and the
-// deprecated Set* shims to identical behavior.
-func TestOptionsAndShimsAgree(t *testing.T) {
-	g := socialGraph()
-
-	viaOpts := NewExecutor(g,
-		WithShardWorkers(4),
-		WithReorder(false),
-		WithRangePushdown(false),
-		WithIndexPushdown(false),
-		WithCountFastPath(false),
-		WithPlanCacheCap(2),
-	)
-	viaSetters := NewExecutor(g)
-	viaSetters.SetShardWorkers(4)
-	viaSetters.SetReorder(false)
-	viaSetters.SetRangePushdown(false)
-	viaSetters.SetIndexPushdown(false)
-	viaSetters.SetCountFastPath(false)
-	viaSetters.SetPlanCacheCap(2)
-
-	if viaOpts.shardWorkers != viaSetters.shardWorkers ||
-		viaOpts.noReorder != viaSetters.noReorder ||
-		viaOpts.noRangePushdown != viaSetters.noRangePushdown ||
-		viaOpts.noPushdown != viaSetters.noPushdown ||
-		viaOpts.noCountFast != viaSetters.noCountFast {
-		t.Fatalf("options %+v and setters %+v configure different executors",
-			viaOpts.shardWorkers, viaSetters.shardWorkers)
-	}
-
-	q := "MATCH (u:User) WHERE u.id >= 2 RETURN u.name AS n"
-	a, err := viaOpts.Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := viaSetters.Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(rowStrings(a), "\n") != strings.Join(rowStrings(b), "\n") {
-		t.Fatalf("options/setters diverged: %v vs %v", rowStrings(a), rowStrings(b))
-	}
-	if a.Exec.RangeSeeks != 0 || b.Exec.RangeSeeks != 0 {
-		t.Fatal("range pushdown should be off under both constructions")
-	}
-}
-
 // TestNumericBoundWidening pins the int/float unification: numeric bounds
 // widen to inclusive at the seek layer, and the WHERE re-check restores
 // exactness, so mixed int/float comparisons stay correct.

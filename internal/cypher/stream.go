@@ -15,7 +15,7 @@ package cypher
 // reaches the client while the scan is still running, result memory is
 // O(channel buffer), and LIMIT stops the scan as soon as it is satisfied
 // instead of scanning to completion. Queries outside the shape (WITH,
-// aggregation, ORDER BY, DISTINCT, mutations, sharded executors) fall back
+// aggregation, ORDER BY, DISTINCT, mutations) fall back
 // to the materialized path and the cursor drains Result.Rows — observable
 // behaviour is identical either way, only the delivery cadence differs.
 

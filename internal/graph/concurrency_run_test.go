@@ -1,4 +1,4 @@
-// Sharded-executor race coverage. This file is an external test package
+// Executor-vs-mutator race coverage. This file is an external test package
 // (graph_test) because it drives internal/cypher, which imports graph —
 // an in-package test would create an import cycle.
 package graph_test
@@ -13,14 +13,15 @@ import (
 	"github.com/graphrules/graphrules/internal/graph"
 )
 
-// TestShardedExecuteUnderMutation runs concurrent sharded Execute calls
-// against concurrent node/edge mutations. The writers hit SetNodeProp on an
-// indexed property, so the lazily built property index is invalidated and
-// rebuilt while shard workers are scanning. Under -race this pins the
-// copy-on-write mutation contract: shard workers hold node/edge snapshots
-// and must never observe a struct being written in place.
-func TestShardedExecuteUnderMutation(t *testing.T) {
-	g := graph.New("shard-race")
+// TestConcurrentRunsUnderMutation drives serial Run calls from several
+// goroutines through one shared Executor against concurrent node/edge
+// mutations. The writers hit SetNodeProp on an indexed property, so the
+// lazily built property index is invalidated and rebuilt while the queries
+// are scanning. Under -race this pins the copy-on-write mutation contract:
+// a running query holds node/edge snapshots and must never observe a
+// struct being written in place.
+func TestConcurrentRunsUnderMutation(t *testing.T) {
+	g := graph.New("run-race")
 	var ids []graph.ID
 	for i := 0; i < 300; i++ {
 		n := g.AddNode([]string{"Person"}, graph.Props{"idx": graph.NewInt(int64(i)), "bucket": graph.NewInt(int64(i % 7))})
@@ -34,9 +35,9 @@ func TestShardedExecuteUnderMutation(t *testing.T) {
 		// Property-index anchor: forces a pushdown seek against the index
 		// the writers keep invalidating.
 		`MATCH (p:Person) WHERE p.bucket = 3 RETURN count(*) AS n`,
-		// Label-scan anchor with per-shard WHERE re-filtering.
+		// Label-scan anchor with WHERE re-filtering.
 		`MATCH (p:Person) WHERE p.idx > 150 RETURN p.idx`,
-		// Relationship expansion from shard-local anchors.
+		// Relationship expansion from scanned anchors.
 		`MATCH (a:Person)-[r:NEXT]->(b:Person) RETURN count(*) AS n`,
 		// Aggregate fast path with property access on both endpoints.
 		`MATCH (a:Person)-[:NEXT]->(b) RETURN min(a.idx) AS lo, max(b.idx) AS hi`,
@@ -49,7 +50,7 @@ func TestShardedExecuteUnderMutation(t *testing.T) {
 
 	// Writers: property writes (index invalidation), label additions, and
 	// fresh nodes/edges appearing mid-scan. They run until the readers
-	// have finished, so every sharded Run overlaps live mutation; Gosched
+	// have finished, so every Run overlaps live mutation; Gosched
 	// keeps them from starving readers on a single-CPU machine (every
 	// write invalidates the caches readers then rebuild).
 	for w := 0; w < 2; w++ {
@@ -78,15 +79,15 @@ func TestShardedExecuteUnderMutation(t *testing.T) {
 		}()
 	}
 
-	// Readers: one executor per goroutine (the supported concurrent-read
-	// pattern), each running sharded queries in a loop.
-	for r := 0; r < 3; r++ {
+	// Readers: goroutines sharing one executor (and its plan cache), each
+	// running serial queries in a loop — the concurrency the Bolt server
+	// and the scoring worker pool actually run.
+	ex := cypher.NewExecutor(g)
+	for r := 0; r < 4; r++ {
 		r := r
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			ex := cypher.NewExecutor(g)
-			ex.SetShardWorkers(4)
 			for i := 0; i < 12; i++ {
 				q := queries[(i+r)%len(queries)]
 				if _, err := ex.Run(q, nil); err != nil {

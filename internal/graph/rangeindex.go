@@ -14,8 +14,7 @@ import "sort"
 // (the same order a plain label/type scan would enumerate them), NOT value
 // order. A range seek therefore yields a subsequence of the full scan, so
 // executors that re-filter candidates produce byte-identical row order with
-// and without the index, and contiguous chunks of the returned slice remain
-// valid shard partitions.
+// and without the index.
 //
 // Like the equality caches, ordered postings are built lazily under the
 // write lock and invalidated by mutation — but invalidation is incremental:

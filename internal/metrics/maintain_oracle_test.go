@@ -6,9 +6,7 @@ package metrics
 // commit stream) keeps rule scores current. After EVERY epoch the
 // maintained scores must equal a full recompute of every rule on the
 // post-epoch graph — the delta-scoping optimization must be invisible in
-// the results. The stream runs under both the serial and the sharded
-// executor configuration, since snapshot-pinned morsel scans are exactly
-// where a stale or torn view would surface.
+// the results.
 //
 // Environment knobs (all optional), mirroring the cypher oracle:
 //
@@ -25,7 +23,6 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/graphrules/graphrules/internal/cypher"
 	"github.com/graphrules/graphrules/internal/datasets"
 	"github.com/graphrules/graphrules/internal/graph"
 	"github.com/graphrules/graphrules/internal/rules"
@@ -186,7 +183,7 @@ func (s *mutationStream) step(g *graph.Graph, epoch int) {
 	}
 }
 
-func writeMetricsOracleArtifact(dataset string, seed int64, cfg string, detail string, log []string) {
+func writeMetricsOracleArtifact(dataset string, seed int64, detail string, log []string) {
 	path := os.Getenv("GRAPHRULES_ORACLE_ARTIFACT")
 	if path == "" {
 		return
@@ -196,7 +193,7 @@ func writeMetricsOracleArtifact(dataset string, seed int64, cfg string, detail s
 		return
 	}
 	defer f.Close()
-	fmt.Fprintf(f, "metrics-oracle dataset=%s seed=%d config=%s\n%s\nstream:\n", dataset, seed, cfg, detail)
+	fmt.Fprintf(f, "metrics-oracle dataset=%s seed=%d\n%s\nstream:\n", dataset, seed, detail)
 	for _, l := range log {
 		fmt.Fprintf(f, "  %s\n", l)
 	}
@@ -209,13 +206,6 @@ func TestMaintainerDifferentialOracle(t *testing.T) {
 	if testing.Short() && os.Getenv("GRAPHRULES_METRICS_EPOCHS") == "" {
 		epochs = 4
 	}
-	configs := []struct {
-		name string
-		opts []cypher.Option
-	}{
-		{"serial", nil},
-		{"sharded", []cypher.Option{cypher.WithShardWorkers(4), cypher.WithMorselSize(32)}},
-	}
 	for _, name := range datasets.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -224,41 +214,36 @@ func TestMaintainerDifferentialOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cfg := range configs {
-				cfg := cfg
-				t.Run(cfg.name, func(t *testing.T) {
-					g := gen(datasets.Options{Seed: 42, ViolationRate: 0.03})
-					m := NewMaintainer(g, oracleRules(name), cfg.opts...)
-					defer m.Attach()()
-					// Seed differs per (dataset, config) so the two configs
-					// exercise different streams too.
-					s := newMutationStream(g, seed+int64(len(name))+int64(len(cfg.name)))
-					for e := 0; e < epochs; e++ {
-						s.step(g, e)
-						diffs, err := m.Diff(context.Background())
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(diffs) > 0 {
-							detail := fmt.Sprintf("after epoch %d: %d mismatches\n%s",
-								e, len(diffs), diffs[0])
-							writeMetricsOracleArtifact(name, seed, cfg.name, detail, s.log)
-							for _, d := range diffs {
-								t.Errorf("epoch %d: %s", e, d)
-							}
-							t.Fatalf("maintained scores diverged (seed=%d, GRAPHRULES_ORACLE_SEED to reproduce)", seed)
-						}
+			g := gen(datasets.Options{Seed: 42, ViolationRate: 0.03})
+			m := NewMaintainer(g, oracleRules(name))
+			defer m.Attach()()
+			// Seed differs per dataset so each exercises a different
+			// stream (+6 keeps the streams of the original "serial" arm).
+			s := newMutationStream(g, seed+int64(len(name))+6)
+			for e := 0; e < epochs; e++ {
+				s.step(g, e)
+				diffs, err := m.Diff(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(diffs) > 0 {
+					detail := fmt.Sprintf("after epoch %d: %d mismatches\n%s",
+						e, len(diffs), diffs[0])
+					writeMetricsOracleArtifact(name, seed, detail, s.log)
+					for _, d := range diffs {
+						t.Errorf("epoch %d: %s", e, d)
 					}
-					st := m.Stats()
-					t.Logf("%s/%s: epochs=%d rescored=%d skipped=%d",
-						name, cfg.name, st.Epochs, st.Rescored, st.Skipped)
-					if st.Epochs == 0 {
-						t.Error("mutation stream committed no epochs")
-					}
-					if st.Rescored+st.Skipped != st.Epochs*len(oracleRules(name)) {
-						t.Errorf("stats don't add up: %+v over %d rules", st, len(oracleRules(name)))
-					}
-				})
+					t.Fatalf("maintained scores diverged (seed=%d, GRAPHRULES_ORACLE_SEED to reproduce)", seed)
+				}
+			}
+			st := m.Stats()
+			t.Logf("%s: epochs=%d rescored=%d skipped=%d",
+				name, st.Epochs, st.Rescored, st.Skipped)
+			if st.Epochs == 0 {
+				t.Error("mutation stream committed no epochs")
+			}
+			if st.Rescored+st.Skipped != st.Epochs*len(oracleRules(name)) {
+				t.Errorf("stats don't add up: %+v over %d rules", st, len(oracleRules(name)))
 			}
 		})
 	}

@@ -37,25 +37,17 @@ type Scorer struct {
 	ex *cypher.Executor
 }
 
-// NewScorer returns a scorer bound to the graph. Executor options (shard
-// workers, pushdown toggles, plan-cache cap, ...) pass through verbatim to
-// the shared executor:
+// NewScorer returns a scorer bound to the graph. Executor options (pushdown
+// toggles, plan-cache cap, budgets, ...) pass through verbatim to the
+// shared executor:
 //
-//	sc := metrics.NewScorer(g, cypher.WithShardWorkers(8))
+//	sc := metrics.NewScorer(g, cypher.WithPlanCacheCap(256))
 func NewScorer(g *graph.Graph, opts ...cypher.Option) *Scorer {
 	return &Scorer{g: g, ex: cypher.NewExecutor(g, opts...)}
 }
 
 // Executor exposes the scorer's shared executor (for cache stats).
 func (s *Scorer) Executor() *cypher.Executor { return s.ex }
-
-// SetShardWorkers configures sharded MATCH execution on the scorer's shared
-// executor: eligible anchor scans inside each metric query are partitioned
-// across n workers (0 = serial). This parallelism is within one query and
-// composes with the rule-level worker pool of EvaluateRulesParallel.
-//
-// Deprecated: pass cypher.WithShardWorkers(n) to NewScorer instead.
-func (s *Scorer) SetShardWorkers(n int) { s.ex.SetShardWorkers(n) }
 
 // EvaluateQueries runs a rule's three metric queries. Every query must
 // return a row whose column `n` (or sole column) holds a numeric count —
@@ -179,19 +171,12 @@ func EvaluateRulesParallelCtx(ctx context.Context, g *graph.Graph, rs []rules.Ru
 // EvalOptions configures batch query-set evaluation.
 type EvalOptions struct {
 	// Workers is the rule-level worker pool size; <= 0 selects GOMAXPROCS.
+	// Each query runs serially on its worker; output order and counts never
+	// depend on the value.
 	Workers int
-	// ShardWorkers configures per-query sharded MATCH execution on the
-	// shared executor (anchor scans partitioned across this many workers);
-	// <= 0 runs each query serially. Both levels of parallelism are
-	// deterministic: output order and counts never depend on either value.
-	ShardWorkers int
-	// MorselSize sets the anchor-candidate morsel size for sharded scans;
-	// <= 0 keeps the executor default. Like ShardWorkers it is a pure
-	// scheduling knob and never changes results.
-	MorselSize int
-	// ExecOptions are applied to the shared executor after ShardWorkers and
-	// MorselSize, so any cypher.Option (pushdown toggles, plan-cache cap, or
-	// an overriding WithShardWorkers) is reachable from batch evaluation.
+	// ExecOptions are applied to the shared executor last, so any
+	// cypher.Option (pushdown toggles, plan-cache cap) is reachable from
+	// batch evaluation.
 	ExecOptions []cypher.Option
 	// MaxRows / MemoryBudget / QueryDeadline put per-query resource
 	// budgets on the shared executor; a rule whose query exceeds one gets
@@ -210,8 +195,6 @@ type EvalOptions struct {
 // included, with opt.ExecOptions last so callers can override anything.
 func (opt EvalOptions) execOptions() []cypher.Option {
 	return append([]cypher.Option{
-		cypher.WithShardWorkers(opt.ShardWorkers),
-		cypher.WithMorselSize(opt.MorselSize),
 		cypher.WithMaxRows(opt.MaxRows),
 		cypher.WithMemoryBudget(opt.MemoryBudget),
 		cypher.WithQueryDeadline(opt.QueryDeadline),

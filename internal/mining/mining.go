@@ -122,19 +122,9 @@ type Config struct {
 	// rule set: scoring is deterministic at any worker count. Negative
 	// values select GOMAXPROCS.
 	ScoreWorkers int
-	// ShardWorkers sets per-query sharded MATCH execution during scoring:
-	// eligible anchor scans are partitioned across this many workers inside
-	// the executor (default 0 = serial). Like ScoreWorkers it never changes
-	// counts or rule order, only wall time. Negative values are rejected.
-	ShardWorkers int
-	// MorselSize sets the anchor-candidate morsel size for sharded scans
-	// during scoring (default 0 = the executor's built-in size). A pure
-	// scheduling knob: results are identical at any value. Negative values
-	// are rejected.
-	MorselSize int
 	// ExecOptions are cypher executor options applied to the scoring
-	// executor after ShardWorkers and MorselSize (pushdown toggles,
-	// plan-cache cap, ...). None of them change counts or rule order.
+	// executor (pushdown toggles, plan-cache cap, ...). None of them change
+	// counts or rule order.
 	ExecOptions []cypher.Option
 	// MaxRows / MemoryBudget / QueryDeadline set per-query resource
 	// budgets on the scoring executor (cypher.WithMaxRows etc.): a rule
@@ -194,12 +184,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ScoreWorkers == 0 {
 		c.ScoreWorkers = c.Parallel
-	}
-	if c.ShardWorkers < 0 {
-		return c, fmt.Errorf("mining: ShardWorkers must be non-negative, got %d", c.ShardWorkers)
-	}
-	if c.MorselSize < 0 {
-		return c, fmt.Errorf("mining: MorselSize must be non-negative, got %d", c.MorselSize)
 	}
 	if c.MaxRows < 0 || c.MemoryBudget < 0 || c.QueryDeadline < 0 {
 		return c, fmt.Errorf("mining: resource budgets must be non-negative")
@@ -558,8 +542,7 @@ func MineCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	// Score all corrected query sets through one shared executor (and plan
 	// cache), cfg.ScoreWorkers at a time; output order is the rule order.
 	counts, evalErrs := metrics.EvaluateQuerySetsCtx(ctx, g, finals,
-		metrics.EvalOptions{Workers: cfg.ScoreWorkers, ShardWorkers: cfg.ShardWorkers,
-			MorselSize: cfg.MorselSize, ExecOptions: cfg.ExecOptions,
+		metrics.EvalOptions{Workers: cfg.ScoreWorkers, ExecOptions: cfg.ExecOptions,
 			MaxRows: cfg.MaxRows, MemoryBudget: cfg.MemoryBudget,
 			QueryDeadline: cfg.QueryDeadline, Admission: cfg.Admission})
 	if err := ctx.Err(); err != nil {

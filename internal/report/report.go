@@ -40,14 +40,12 @@ func RunDataset(g *graph.Graph, seed int64) ([]Cell, error) {
 		model := llm.NewSim(profile, seed)
 		for _, method := range mining.Methods {
 			for _, mode := range prompt.Modes {
-				// ScoreWorkers only parallelizes metric scoring and
-				// ShardWorkers only the anchor scans inside each query;
-				// neither can perturb the mined rules, the counts, or the
-				// simulated LLM timings.
+				// ScoreWorkers only parallelizes metric scoring; it cannot
+				// perturb the mined rules, the counts, or the simulated LLM
+				// timings.
 				res, err := mining.Mine(g, mining.Config{
 					Model: model, Method: method, Mode: mode,
 					ScoreWorkers: runtime.GOMAXPROCS(0),
-					ShardWorkers: runtime.GOMAXPROCS(0),
 				})
 				if err != nil {
 					return nil, fmt.Errorf("report: %s/%s/%s/%s: %w", g.Name(), profile.Name, method, mode, err)
