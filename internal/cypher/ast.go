@@ -186,6 +186,8 @@ type MatchClause struct {
 	Optional bool
 	Patterns []*PatternPart
 	Where    Expr
+
+	sargs []Sarg // index-eligible predicates, classified once by the parser
 }
 
 func (m *MatchClause) clauseString() string {

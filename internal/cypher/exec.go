@@ -43,7 +43,8 @@ type ExecStats struct {
 	// matching patterns.
 	RowsScanned int
 	// IndexSeeks counts node anchors served by the label+property equality
-	// index instead of a label scan; IndexRows is how many candidates those
+	// index instead of a label scan — equality or IN, inline or in WHERE,
+	// on a literal or a $parameter; IndexRows is how many candidates those
 	// seeks produced (the scan work the index avoided re-filtering).
 	IndexSeeks int
 	IndexRows  int
@@ -53,8 +54,8 @@ type ExecStats struct {
 	RangeSeeks int
 	RangeRows  int
 	// EdgeSeeks counts anchors derived from the ordered edge-property index
-	// (a relationship-pattern constraint narrowing the endpoint set);
-	// EdgeRows is how many candidate nodes those seeks produced.
+	// (a relationship constraint narrowing the endpoint set); EdgeRows is
+	// how many candidate nodes those seeks produced.
 	EdgeSeeks int
 	EdgeRows  int
 	// Seeks details every index seek taken, in execution order: the chosen
@@ -75,27 +76,42 @@ type ExecStats struct {
 	Clauses []ClauseTiming
 }
 
+// SeekKind names the index access behind a SeekInfo.
+type SeekKind uint8
+
+const (
+	// NodeIndexSeek is an equality or IN seek on the label+property index.
+	NodeIndexSeek SeekKind = iota
+	// NodeRangeSeek is an inequality or prefix seek on the ordered index.
+	NodeRangeSeek
+	// EdgeIndexSeek derives node anchors from the ordered edge index.
+	EdgeIndexSeek
+)
+
+func (k SeekKind) String() string {
+	return [...]string{"NodeIndexSeek", "NodeRangeSeek", "EdgeIndexSeek"}[k]
+}
+
 // SeekInfo describes one index seek the matcher took for an anchor scan.
 type SeekInfo struct {
+	Kind   SeekKind
 	Var    string // pattern variable the seek anchored ("" for anonymous)
-	Label  string // node label, or edge type(s) joined with "|" when Edge
+	Label  string // node label, or edge type(s) joined with "|" for EdgeIndexSeek
 	Key    string // property key seeked
-	Bounds string // chosen bounds, e.g. "= 30", ">= 30 AND < 100"
-	Edge   bool   // anchor derived from the edge-property index
+	Bounds string // predicates seeked, as written: "= $n", "IN [1, 2]", ">= 30 AND < 100"
 	Est    int    // estimated candidate rows (index count probe)
 	Rows   int    // candidate rows actually enumerated
 }
 
+// head renders the seek's kind and predicates, e.g.
+// "NodeIndexSeek(u:User.screen_name = $n)".
+func (s SeekInfo) head() string {
+	return fmt.Sprintf("%s(%s:%s.%s %s)", s.Kind, varOrAnon(s.Var), s.Label, s.Key, s.Bounds)
+}
+
 // String renders the seek in Explain-plan style.
 func (s SeekInfo) String() string {
-	kind := "NodeRangeSeek"
-	switch {
-	case s.Edge:
-		kind = "EdgeIndexSeek"
-	case strings.HasPrefix(s.Bounds, "= "): // plain equality
-		kind = "NodeIndexSeek"
-	}
-	return fmt.Sprintf("%s(%s:%s.%s %s) est=%d rows=%d", kind, s.Var, s.Label, s.Key, s.Bounds, s.Est, s.Rows)
+	return fmt.Sprintf("%s est=%d rows=%d", s.head(), s.Est, s.Rows)
 }
 
 // String renders the stats as a short multi-line report.
@@ -453,7 +469,7 @@ func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[s
 	if ex.snapshotPin && !QueryMutates(q) {
 		eg = ex.g.Snapshot()
 	}
-	m := &matcher{g: eg, pushdown: !ex.noPushdown, bud: ex.newBudget()}
+	m := &matcher{g: eg, bud: ex.newBudget()}
 	if cctx != nil && cctx != context.Background() {
 		m.cctx = cctx
 	}
@@ -592,9 +608,7 @@ func countFastPlan(q *Query) (*MatchClause, *ReturnItem, bool) {
 // and projection. Its observable result is identical to the general path.
 func (ex *Executor) execMatchAggregate(ctx *evalCtx, m *matcher, mc *MatchClause, item *ReturnItem, res *Result) error {
 	fc := item.Expr.(*FuncCall)
-	m.ranges = ex.clauseRanges(mc.Where)
-	plan := ex.planMatch(mc.Patterns, nil, m.ranges)
-	recordPlan(m, plan)
+	plan := ex.planClause(m, mc, nil)
 	res.Stats.RowsExamined++
 
 	st := newAggState(fc)
@@ -620,13 +634,14 @@ func (ex *Executor) execMatchAggregate(ctx *evalCtx, m *matcher, mc *MatchClause
 
 // ---------- MATCH ----------
 
-// clauseRanges extracts the seekable WHERE intervals for one MATCH clause,
-// or nil when range pushdown (or all pushdown) is disabled.
-func (ex *Executor) clauseRanges(where Expr) whereRanges {
-	if ex.noPushdown || ex.noRangePushdown {
-		return nil
-	}
-	return extractRanges(where)
+// planClause binds a MATCH clause's Sargs to this run's parameters and
+// plans its parts against the graph the matcher reads (a pinned snapshot
+// under WithSnapshotPin), so estimates and seeks see one epoch.
+func (ex *Executor) planClause(m *matcher, mc *MatchClause, bound map[string]bool) *matchPlan {
+	m.acc = ex.bindSargs(mc.sargs, m.ctx.params, false)
+	plan := ex.planMatch(m.g, mc.Patterns, bound, m.acc)
+	recordPlan(m, plan)
+	return plan
 }
 
 func (ex *Executor) execMatch(ctx *evalCtx, m *matcher, cl *MatchClause, in []Row, st *Stats) ([]Row, error) {
@@ -638,9 +653,7 @@ func (ex *Executor) execMatch(ctx *evalCtx, m *matcher, cl *MatchClause, in []Ro
 			bound[v] = true
 		}
 	}
-	m.ranges = ex.clauseRanges(cl.Where)
-	plan := ex.planMatch(cl.Patterns, bound, m.ranges)
-	recordPlan(m, plan)
+	plan := ex.planClause(m, cl, bound)
 
 	var out []Row
 	for _, row := range in {
@@ -706,14 +719,13 @@ func patternVars(parts []*PatternPart) []string {
 
 // matcher performs backtracking pattern matching against the graph.
 type matcher struct {
-	g        *graph.Graph
-	ctx      *evalCtx
-	exec     *ExecStats      // optional instrumentation sink
-	pushdown bool            // consult the label+property index for constant props
-	ranges   whereRanges     // seekable WHERE intervals for the current clause
-	cctx     context.Context // optional cancellation; nil means never cancelled
-	bud      *budget         // optional resource budget; nil means ungoverned
-	polls    uint64          // pollCtx amortization counter
+	g     *graph.Graph
+	ctx   *evalCtx
+	exec  *ExecStats      // optional instrumentation sink
+	acc   []access        // the current clause's bound index accesses (sarg.go)
+	cctx  context.Context // optional cancellation; nil means never cancelled
+	bud   *budget         // optional resource budget; nil means ungoverned
+	polls uint64          // pollCtx amortization counter
 }
 
 // pollCtx reports the matcher's cancellation state and query deadline,
@@ -756,14 +768,14 @@ func (m *matcher) matchAll(parts []*PatternPart, row Row, cb func(Row) error) er
 }
 
 // exists reports whether the pattern has at least one match from the given
-// row (used by pattern predicates in WHERE). The clause's range constraints
+// row (used by pattern predicates in WHERE). The clause's index accesses
 // are suspended for the probe: a predicate-local variable could share a
 // name with a WHERE-constrained one, and narrowing the probe's anchors
 // could then change whether the pattern exists.
 func (m *matcher) exists(part *PatternPart, row Row) (bool, error) {
-	saved := m.ranges
-	m.ranges = nil
-	defer func() { m.ranges = saved }()
+	saved := m.acc
+	m.acc = nil
+	defer func() { m.acc = saved }()
 	found := false
 	err := m.matchPart(part, row, map[graph.ID]bool{}, func(Row) error {
 		found = true
@@ -841,172 +853,52 @@ func (m *matcher) bindNode(part *PatternPart, i int, row Row, used map[graph.ID]
 }
 
 // anchorCandidates enumerates the candidate nodes for the part's unbound
-// anchor pattern. With pushdown on, it picks the narrowest index access
-// available: a constant inline property equality on a labeled pattern
-// seeks the label+property equality index, a seekable WHERE range on a
-// labeled pattern seeks the ordered index, and for an unlabeled anchor a
-// property-constrained first relationship seeks the ordered edge index and
-// derives the endpoint set. Otherwise it scans the smallest label bucket,
-// else all nodes. Every candidate is re-checked by nodeSatisfies and the
-// WHERE filter, so a seek only narrows, never decides; and every seek
-// returns a subsequence of the order the fallback scan would enumerate
-// (label-bucket insertion order when labeled, ascending ID otherwise), so
-// row order is identical with and without pushdown. Index seek stats are
-// recorded; the caller accounts the RowsScanned for the slice it walks.
+// anchor pattern: the index seek chooseNodeSeek picks for a labeled
+// anchor, else its smallest label bucket; for an unlabeled anchor, the
+// endpoints of the edge seek chooseEdgeSeek picks, else all nodes. Every
+// candidate is re-checked by nodeSatisfies and the WHERE filter, so a seek
+// only narrows, never decides; and every seek returns a subsequence of the
+// order the fallback scan would enumerate (label-bucket insertion order
+// when labeled, ascending ID otherwise), so row order is identical with
+// and without pushdown. Index seek stats are recorded; the caller accounts
+// the RowsScanned for the slice it walks.
 func (m *matcher) anchorCandidates(part *PatternPart) []*graph.Node {
 	np := part.Nodes[0]
-	var candidates []*graph.Node
-	var info SeekInfo
-	const (
-		srcScan = iota
-		srcEq
-		srcRange
-	)
-	src := srcScan
-	if m.pushdown && len(np.Labels) > 0 && len(np.Props) > 0 {
-		keys := make([]string, 0, len(np.Props))
-		for k := range np.Props {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys) // deterministic seek choice across runs
-		for _, l := range np.Labels {
-			for _, k := range keys {
-				lit, ok := np.Props[k].(*Literal)
-				if !ok {
-					continue // non-constant constraint: cannot index
-				}
-				ns := m.g.LabelPropNodes(l, k, lit.Value)
-				if src == srcScan || len(ns) < len(candidates) {
-					candidates = ns
-					info = SeekInfo{Var: np.Var, Label: l, Key: k,
-						Bounds: "= " + litDisplay(lit.Value), Est: len(ns), Rows: len(ns)}
-				}
-				src = srcEq
-			}
-		}
-	}
-	if m.pushdown && len(np.Labels) > 0 {
-		if byKey := m.ranges.forVar(np.Var); len(byKey) > 0 {
-			keys := make([]string, 0, len(byKey))
-			for k := range byKey {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys) // deterministic seek choice across runs
-			bestLabel, bestKey, bestCount := "", "", -1
-			for _, l := range np.Labels {
-				for _, k := range keys {
-					r := byKey[k]
-					c := m.g.LabelPropRangeCount(l, k, r.lo, r.hi)
-					if bestCount == -1 || c < bestCount {
-						bestLabel, bestKey, bestCount = l, k, c
-					}
-				}
-			}
-			if bestCount >= 0 && (src == srcScan || bestCount < len(candidates)) {
-				r := byKey[bestKey]
-				candidates = m.g.LabelPropRange(bestLabel, bestKey, r.lo, r.hi)
-				info = SeekInfo{Var: np.Var, Label: bestLabel, Key: bestKey,
-					Bounds: r.String(), Est: bestCount, Rows: len(candidates)}
-				src = srcRange
-			}
-		}
-	}
-	switch src {
-	case srcEq:
+	if s, ok := chooseNodeSeek(m.g, np, m.acc); ok {
+		ns := s.nodes(m.g, s.label)
 		if m.exec != nil {
-			m.exec.IndexSeeks++
-			m.exec.IndexRows += len(candidates)
-			m.recordSeek(info)
-		}
-	case srcRange:
-		if m.exec != nil {
-			m.exec.RangeSeeks++
-			m.exec.RangeRows += len(candidates)
-			m.recordSeek(info)
-		}
-	default:
-		if len(np.Labels) > 0 {
-			best := -1
-			for _, l := range np.Labels {
-				ns := m.g.LabelNodes(l)
-				if best == -1 || len(ns) < best {
-					best = len(ns)
-					candidates = ns
-				}
+			if s.point() {
+				m.exec.IndexSeeks++
+				m.exec.IndexRows += len(ns)
+			} else {
+				m.exec.RangeSeeks++
+				m.exec.RangeRows += len(ns)
 			}
-		} else if ns, ok := m.edgeAnchorCandidates(part); ok {
-			candidates = ns
-		} else {
-			candidates = m.g.AllNodes()
+			m.recordSeek(s.info(np.Var), len(ns))
 		}
+		return ns
 	}
-	return candidates
+	if len(np.Labels) > 0 {
+		_, ns := smallestLabel(m.g, np.Labels)
+		return ns
+	}
+	if ns, ok := m.edgeAnchorCandidates(part); ok {
+		return ns
+	}
+	return m.g.AllNodes()
 }
 
-// edgeAnchorCandidates tries to anchor an unlabeled pattern from its first
-// relationship: when the rel is single-hop, typed, and constrained by
-// constant inline properties or seekable WHERE ranges on its variable, the
-// ordered edge index enumerates the matching edges and the near endpoints
-// become the candidate set — deduplicated and sorted ascending by ID, a
-// subsequence of the AllNodes order the full scan would use. It declines
-// (ok=false) when the derived set would not beat the full scan.
+// edgeAnchorCandidates anchors an unlabeled pattern from its first
+// relationship when chooseEdgeSeek engages: the ordered edge index
+// enumerates the matching edges and the near endpoints become the
+// candidate set — deduplicated and sorted ascending by ID, a subsequence
+// of the AllNodes order the full scan would use.
 func (m *matcher) edgeAnchorCandidates(part *PatternPart) ([]*graph.Node, bool) {
-	if !m.pushdown || len(part.Rels) == 0 {
+	s, ok := chooseEdgeSeek(m.g, part, m.acc)
+	if !ok {
 		return nil, false
 	}
-	rel := part.Rels[0]
-	if rel.IsVarLength() || len(rel.Types) == 0 {
-		return nil, false
-	}
-	eq := constRelProps(rel)
-	rr := m.ranges.forVar(rel.Var)
-	if len(eq) == 0 && len(rr) == 0 {
-		return nil, false
-	}
-	// Deterministic choice: per type, the constrained key with the smallest
-	// posting wins (equality keys first, then range keys, each sorted).
-	type pick struct {
-		key    string
-		lo, hi graph.Bound
-		bounds string
-		count  int
-	}
-	eqKeys := make([]string, 0, len(eq))
-	for k := range eq {
-		eqKeys = append(eqKeys, k)
-	}
-	sort.Strings(eqKeys)
-	rrKeys := make([]string, 0, len(rr))
-	for k := range rr {
-		rrKeys = append(rrKeys, k)
-	}
-	sort.Strings(rrKeys)
-
-	total := 0
-	picks := make([]pick, 0, len(rel.Types))
-	for _, t := range rel.Types {
-		var best *pick
-		for _, k := range eqKeys {
-			b := graph.ValueBound(eq[k], true)
-			c := m.g.TypePropRangeCount(t, k, b, b)
-			if best == nil || c < best.count {
-				best = &pick{key: k, lo: b, hi: b, bounds: "= " + litDisplay(eq[k]), count: c}
-			}
-		}
-		for _, k := range rrKeys {
-			r := rr[k]
-			c := m.g.TypePropRangeCount(t, k, r.lo, r.hi)
-			if best == nil || c < best.count {
-				best = &pick{key: k, lo: r.lo, hi: r.hi, bounds: r.String(), count: c}
-			}
-		}
-		picks = append(picks, *best)
-		total += best.count
-	}
-	if total >= m.g.NodeCount() {
-		return nil, false // a full node scan is no worse
-	}
-
+	rel := s.rel
 	var nodes []*graph.Node
 	seen := map[graph.ID]bool{}
 	add := func(id graph.ID) {
@@ -1018,13 +910,8 @@ func (m *matcher) edgeAnchorCandidates(part *PatternPart) ([]*graph.Node, bool) 
 			nodes = append(nodes, n)
 		}
 	}
-	est := total
-	if rel.Direction == DirBoth {
-		est *= 2
-	}
 	for i, t := range rel.Types {
-		p := picks[i]
-		for _, e := range m.g.TypePropRange(t, p.key, p.lo, p.hi) {
+		for _, e := range s.picks[i].edges(m.g, t) {
 			// The anchor is the near endpoint of the (possibly planner-
 			// flipped) relationship; an undirected rel admits both.
 			switch rel.Direction {
@@ -1040,30 +927,24 @@ func (m *matcher) edgeAnchorCandidates(part *PatternPart) ([]*graph.Node, bool) 
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	if m.exec != nil {
-		seekKeys := make([]string, 0, len(picks))
-		for _, p := range picks {
-			if len(seekKeys) == 0 || seekKeys[len(seekKeys)-1] != p.key {
-				seekKeys = append(seekKeys, p.key)
-			}
-		}
 		m.exec.EdgeSeeks++
 		m.exec.EdgeRows += len(nodes)
-		m.recordSeek(SeekInfo{Var: rel.Var, Label: strings.Join(rel.Types, "|"),
-			Key: strings.Join(seekKeys, "|"), Bounds: picks[0].bounds, Edge: true,
-			Est: est, Rows: len(nodes)})
+		m.recordSeek(s.info(), len(nodes))
 	}
 	return nodes, true
 }
 
-// recordSeek appends a seek descriptor to the stats, collapsing repeat
-// enumerations of the same seek (later parts re-anchor once per outer row).
-func (m *matcher) recordSeek(info SeekInfo) {
+// recordSeek appends a seek descriptor with the rows it enumerated to the
+// stats, collapsing repeat enumerations of the same seek (later parts
+// re-anchor once per outer row).
+func (m *matcher) recordSeek(info SeekInfo, rows int) {
 	for _, s := range m.exec.Seeks {
-		if s.Var == info.Var && s.Label == info.Label && s.Key == info.Key &&
-			s.Bounds == info.Bounds && s.Edge == info.Edge {
+		if s.Kind == info.Kind && s.Var == info.Var && s.Label == info.Label &&
+			s.Key == info.Key && s.Bounds == info.Bounds {
 			return
 		}
 	}
+	info.Rows = rows
 	m.exec.Seeks = append(m.exec.Seeks, info)
 }
 

@@ -2,7 +2,6 @@ package cypher
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -34,13 +33,13 @@ func (ex *Executor) Explain(src string) (string, error) {
 			}
 			line("%s (%d pattern(s))", kw, len(c.Patterns))
 			depth++
-			ranges := ex.clauseRanges(c.Where)
-			mp := ex.planMatch(c.Patterns, bound, ranges)
+			accs := ex.bindSargs(c.sargs, nil, true)
+			mp := ex.planMatch(ex.g, c.Patterns, bound, accs)
 			if mp.reordered {
 				line("CostOrder: order=%v reversed=%v est=%v [smallest anchor first]", mp.order, mp.reversed, mp.est)
 			}
 			for _, part := range mp.parts {
-				ex.explainPart(part, bound, ranges, line)
+				ex.explainPart(part, bound, accs, line)
 			}
 			if c.Where != nil {
 				line("Filter: %s", c.Where.exprString())
@@ -90,62 +89,26 @@ func (ex *Executor) Explain(src string) (string, error) {
 	return b.String(), nil
 }
 
-func (ex *Executor) explainPart(part *PatternPart, bound map[string]bool, ranges whereRanges, line func(string, ...any)) {
+// explainPart renders the part's anchor through the matcher's own choosers
+// (sarg.go) and its expansions. A seek on a parameter slot shows the slot
+// and no estimate: Explain has no parameters to count.
+func (ex *Executor) explainPart(part *PatternPart, bound map[string]bool, accs []access, line func(string, ...any)) {
 	n0 := part.Nodes[0]
-	byKey := ranges.forVar(n0.Var)
-	switch {
-	case n0.Var != "" && bound[n0.Var]:
+	if n0.Var != "" && bound[n0.Var] {
 		line("AnchorOnBound(%s)", n0.Var)
-	case !ex.noPushdown && len(n0.Labels) > 0 && (hasConstProp(n0) || len(byKey) > 0):
-		// Mirror the matcher: the equality posting and the range count
-		// compete, smallest candidate set wins.
-		eqN := -1
-		var eqLabel, eqKey string
-		if hasConstProp(n0) {
-			eqLabel, eqKey = seekChoice(n0)
-			for _, l := range n0.Labels {
-				for _, k := range sortedPropKeys(n0.Props) {
-					lit, ok := n0.Props[k].(*Literal)
-					if !ok {
-						continue
-					}
-					if n := len(ex.g.LabelPropNodes(l, k, lit.Value)); eqN == -1 || n < eqN {
-						eqN, eqLabel, eqKey = n, l, k
-					}
-				}
-			}
+	} else if s, ok := chooseNodeSeek(ex.g, n0, accs); ok {
+		index := "ordered index"
+		if s.point() {
+			index = "label+property index"
 		}
-		rN := -1
-		var rLabel, rKey string
-		for _, l := range n0.Labels {
-			for _, k := range sortedRangeKeys(byKey) {
-				r := byKey[k]
-				if c := ex.g.LabelPropRangeCount(l, k, r.lo, r.hi); rN == -1 || c < rN {
-					rN, rLabel, rKey = c, l, k
-				}
-			}
-		}
-		if rN >= 0 && (eqN == -1 || rN < eqN) {
-			line("NodeRangeSeek(%s:%s.%s %s) ~%d candidate(s) [ordered index]",
-				varOrAnon(n0.Var), rLabel, rKey, byKey[rKey], rN)
-		} else {
-			line("NodeIndexSeek(%s:%s.%s) [label+property index]", varOrAnon(n0.Var), eqLabel, eqKey)
-		}
-	case len(n0.Labels) > 0:
-		label, count := ex.bestLabel(n0.Labels)
-		line("NodeByLabelScan(%s:%s) ~%d candidate(s)", varOrAnon(n0.Var), label, count)
-	default:
-		est, edgeSeek := 0.0, false
-		if !ex.noPushdown {
-			est, edgeSeek = ex.estEdgeAnchor(part, ranges)
-		}
-		if edgeSeek {
-			rel := part.Rels[0]
-			line("EdgeIndexSeek(%s:%s) ~%d endpoint(s) [ordered edge index]",
-				varOrAnon(rel.Var), strings.Join(rel.Types, "|"), int(est))
-		} else {
-			line("AllNodesScan(%s) ~%d candidate(s)", varOrAnon(n0.Var), ex.g.NodeCount())
-		}
+		line("%s%s [%s]", s.info(n0.Var).head(), estimate(s.est, "candidate(s)"), index)
+	} else if len(n0.Labels) > 0 {
+		label, ns := smallestLabel(ex.g, n0.Labels)
+		line("NodeByLabelScan(%s:%s) ~%d candidate(s)", varOrAnon(n0.Var), label, len(ns))
+	} else if s, ok := chooseEdgeSeek(ex.g, part, accs); ok {
+		line("%s%s [ordered edge index]", s.info().head(), estimate(s.est, "endpoint(s)"))
+	} else {
+		line("AllNodesScan(%s) ~%d candidate(s)", varOrAnon(n0.Var), ex.g.NodeCount())
 	}
 	markPatternVars(part, bound)
 	for i, rel := range part.Rels {
@@ -177,41 +140,13 @@ func (ex *Executor) explainPart(part *PatternPart, bound map[string]bool, ranges
 	}
 }
 
-// hasConstProp reports whether the node pattern carries at least one
-// constant (literal) property constraint — the precondition for an index
-// seek in bindNode.
-func hasConstProp(n *NodePattern) bool {
-	for _, e := range n.Props {
-		if _, ok := e.(*Literal); ok {
-			return true
-		}
+// estimate renders a candidate estimate, or nothing when a parameter slot
+// leaves it unknown.
+func estimate(n int, unit string) string {
+	if n < 0 {
+		return ""
 	}
-	return false
-}
-
-// seekChoice mirrors bindNode's deterministic seek choice for display: the
-// first declared label and the first (sorted) constant property key.
-func seekChoice(n *NodePattern) (label, key string) {
-	keys := make([]string, 0, len(n.Props))
-	for k := range n.Props {
-		if _, ok := n.Props[k].(*Literal); ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return n.Labels[0], keys[0]
-}
-
-// bestLabel returns the smallest label index among the candidates (the
-// matcher's anchor heuristic) and its cardinality.
-func (ex *Executor) bestLabel(labels []string) (string, int) {
-	best, bestN := labels[0], len(ex.g.NodesWithLabel(labels[0]))
-	for _, l := range labels[1:] {
-		if n := len(ex.g.NodesWithLabel(l)); n < bestN {
-			best, bestN = l, n
-		}
-	}
-	return best, bestN
+	return fmt.Sprintf(" ~%d %s", n, unit)
 }
 
 func varOrAnon(v string) string {

@@ -65,6 +65,39 @@ func TestExplainMutationsAndVarLength(t *testing.T) {
 	}
 }
 
+// TestExplainSargs pins that Explain shows every seek the classifier
+// enables, as written, and leaves parameter slots unestimated.
+func TestExplainSargs(t *testing.T) {
+	ex := NewExecutor(socialGraph())
+	for q, want := range map[string]string{
+		"MATCH (u:User) WHERE u.name = $n RETURN u":                   "NodeIndexSeek(u:User.name = $n) [label+property index]",
+		"MATCH (u:User {name: 'alice'}) RETURN u":                     "NodeIndexSeek(u:User.name = 'alice') ~1 candidate(s) [label+property index]",
+		"MATCH (u:User) WHERE u.name IN ['bob', 'carol'] RETURN u":    "NodeIndexSeek(u:User.name IN ['bob', 'carol']) ~2 candidate(s)",
+		"MATCH (u:User) WHERE u.id >= $lo RETURN u":                   "NodeRangeSeek(u:User.id >= $lo) [ordered index]",
+		"MATCH (u:User) WHERE u.name = $n AND u.id > 1 RETURN u":      "NodeRangeSeek(u:User.id > 1) ~3 candidate(s)", // widened to >= 1
+		"MATCH (a)-[r:FOLLOWS]->(b) WHERE r.since = 2019 RETURN a":    "EdgeIndexSeek(r:FOLLOWS.since = 2019) ~1 endpoint(s) [ordered edge index]",
+		"MATCH (a)-[r:FOLLOWS]->(b) WHERE r.since = $y RETURN a":      "EdgeIndexSeek(r:FOLLOWS.since = $y) [ordered edge index]",
+		"MATCH (u:User) WHERE u.name = null RETURN u":                 "NodeByLabelScan(u:User) ~3 candidate(s)",
+		"MATCH (u:User) WHERE u.name STARTS WITH 'a' RETURN count(*)": "NodeRangeSeek(u:User.name STARTS WITH 'a') ~1 candidate(s)",
+	} {
+		plan, err := ex.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, want) {
+			t.Errorf("%s: plan missing %q:\n%s", q, want, plan)
+		}
+	}
+	// The executed seek reports its kind explicitly: an IN is an index seek.
+	res, err := ex.Run("MATCH (u:User) WHERE u.name IN ['bob', 'carol'] RETURN u.id AS i", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Exec.Seeks[0]; s.Kind != NodeIndexSeek || s.String() != "NodeIndexSeek(u:User.name IN ['bob', 'carol']) est=2 rows=2" {
+		t.Fatalf("seek = %+v (%s)", s, s)
+	}
+}
+
 func TestExplainParseError(t *testing.T) {
 	if _, err := NewExecutor(socialGraph()).Explain(`MATCH (`); err == nil {
 		t.Error("broken query should fail to explain")

@@ -14,16 +14,18 @@ import "time"
 // is reachable from every API layer.
 type Option func(*Executor)
 
-// WithIndexPushdown toggles the label+property equality index pushdown (on
-// by default). Disabling it forces plain label-bucket scans and also
-// disables range pushdown, which rides on the same matcher gate.
+// WithIndexPushdown toggles index pushdown (on by default): the predicates
+// sarg.go classifies become index seeks. Disabling it turns every seek off
+// — equality, IN, range, prefix and edge-derived anchors — so anchors scan
+// label buckets or all nodes.
 func WithIndexPushdown(on bool) Option {
 	return func(ex *Executor) { ex.noPushdown = !on }
 }
 
 // WithRangePushdown toggles the ordered-index range pushdown (on by
-// default): inequality and STARTS WITH conjuncts in WHERE, plus
-// relationship-property constraints, become index range seeks.
+// default): inequality and STARTS WITH conjuncts in WHERE become range
+// seeks, for node and edge anchors alike. Equality and IN seeks do not
+// depend on it.
 func WithRangePushdown(on bool) Option {
 	return func(ex *Executor) { ex.noRangePushdown = !on }
 }

@@ -3,14 +3,18 @@ package cypher
 // Differential oracle for the cost-reordered executor: every query in a
 // corpus (a fixed schema-derived set plus seeded randomized queries) runs
 // under the no-reorder, pushdown-on reference configuration and under the
-// other three points of the {reorder on/off} x {range pushdown on/off}
-// grid, and the results must agree. The no-reorder configuration must
-// reproduce the reference row order exactly (range seeks return candidates
-// in scan-equivalent order); reorder-on configurations are compared as
-// canonically sorted row multisets, since part reordering is allowed to
-// permute unordered results. Queries are checked from a worker pool over
-// shared executors, so the oracle also exercises the engine's only
-// parallelism: concurrent serial queries on one Executor.
+// other three points of the {reorder on/off} x {index pushdown on/off}
+// grid, and the results must agree. The *-nopush arms turn every seek off
+// (equality, IN, range, prefix, edge), so each seek kind is compared with
+// a pure scan. The no-reorder configuration must reproduce the reference
+// row order exactly (seeks return candidates in scan-equivalent order);
+// reorder-on configurations are compared as canonically sorted row
+// multisets, since part reordering is allowed to permute unordered
+// results. Metamorphic arms then rewrite each query into forms that must
+// give the reference rows in the reference order on the reference
+// executor itself (see metamorphicArms). Queries are checked from a worker
+// pool over shared executors, so the oracle also exercises the engine's
+// only parallelism: concurrent serial queries on one Executor.
 //
 // Environment knobs (all optional):
 //
@@ -38,15 +42,15 @@ import (
 type oracleConfig struct {
 	name     string
 	reorder  bool
-	pushdown bool // range/edge pushdown (reference runs with it ON)
+	pushdown bool // every index seek (reference runs with it ON)
 }
 
-// oracleRef is the reference configuration: parts run as written, range
+// oracleRef is the reference configuration: parts run as written, index
 // pushdown on.
 var oracleRef = oracleConfig{name: "noreorder", reorder: false, pushdown: true}
 
 // oracleGrid is every configuration compared against oracleRef: the
-// reorder x range-pushdown cross product minus the reference itself.
+// reorder x index-pushdown cross product minus the reference itself.
 var oracleGrid = []oracleConfig{
 	{name: "noreorder-nopush", reorder: false, pushdown: false},
 	{name: "reorder", reorder: true, pushdown: true},
@@ -54,7 +58,7 @@ var oracleGrid = []oracleConfig{
 }
 
 func newOracleExecutor(g *graph.Graph, cfg oracleConfig) *Executor {
-	return NewExecutor(g, WithReorder(cfg.reorder), WithRangePushdown(cfg.pushdown))
+	return NewExecutor(g, WithReorder(cfg.reorder), WithIndexPushdown(cfg.pushdown))
 }
 
 // oracleRun executes one query and renders every result row to a canonical
@@ -162,19 +166,19 @@ func TestDifferentialOracle(t *testing.T) {
 				mu   sync.Mutex
 			)
 			checkQuery := func(q string) {
+				fail := func(cfg, kind, detail string) {
+					mu.Lock()
+					defer mu.Unlock()
+					writeOracleArtifact(name, seed, cfg, q, detail)
+					t.Errorf("%s under %s (reproduce with GRAPHRULES_ORACLE_SEED=%d):\nquery: %s\n%s",
+						kind, cfg, seed, q, detail)
+				}
 				refRows, refErr := oracleRun(ref, q)
 				refSorted := sortedCopy(refRows)
 				for i, cfg := range oracleGrid {
 					gotRows, gotErr := oracleRun(grid[i], q)
-					fail := func(kind, detail string) {
-						mu.Lock()
-						defer mu.Unlock()
-						writeOracleArtifact(name, seed, cfg.name, q, detail)
-						t.Errorf("%s under %s (reproduce with GRAPHRULES_ORACLE_SEED=%d):\nquery: %s\n%s",
-							kind, cfg.name, seed, q, detail)
-					}
 					if (refErr != "") != (gotErr != "") {
-						fail("error divergence", fmt.Sprintf("reference err=%q, %s err=%q", refErr, cfg.name, gotErr))
+						fail(cfg.name, "error divergence", fmt.Sprintf("reference err=%q, %s err=%q", refErr, cfg.name, gotErr))
 						return
 					}
 					if refErr != "" {
@@ -184,11 +188,30 @@ func TestDifferentialOracle(t *testing.T) {
 						// Same written part order: row order must be
 						// byte-identical to the reference.
 						if !rowsEqual(refRows, gotRows) {
-							fail("row-order divergence", fmt.Sprintf("reference order %v\n%s order %v", refRows, cfg.name, gotRows))
+							fail(cfg.name, "row-order divergence", fmt.Sprintf("reference order %v\n%s order %v", refRows, cfg.name, gotRows))
 							return
 						}
 					} else if !rowsEqual(refSorted, sortedCopy(gotRows)) {
-						fail("result-set divergence", fmt.Sprintf("reference sorted %v\n%s sorted %v", refSorted, cfg.name, sortedCopy(gotRows)))
+						fail(cfg.name, "result-set divergence", fmt.Sprintf("reference sorted %v\n%s sorted %v", refSorted, cfg.name, sortedCopy(gotRows)))
+						return
+					}
+				}
+				if refErr != "" {
+					return
+				}
+				for _, arm := range metamorphicArms {
+					text, params, changed := rewriteQuery(q, arm.rewrite)
+					if !changed {
+						continue
+					}
+					res, err := ref.Run(text, params)
+					if err != nil {
+						fail("meta-"+arm.name, "error divergence", fmt.Sprintf("rewritten: %s params=%v\nerr=%v", text, params, err))
+						return
+					}
+					if got := renderRows(res); !rowsEqual(refRows, got) {
+						fail("meta-"+arm.name, "metamorphic divergence",
+							fmt.Sprintf("rewritten: %s params=%v\nreference %v\nrewritten %v", text, params, refRows, got))
 						return
 					}
 				}
@@ -212,6 +235,181 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// ---------- metamorphic arms ----------
+
+// metamorphicArms rewrite a query into forms that must give the same rows
+// in the same order on the reference executor. They need no second engine:
+// each rewrite moves predicates onto another seek path — a $parameter
+// slot, a WHERE conjunct instead of an inline map, commuted conjuncts, a
+// one-element IN list — and any seek returns a subsequence of the scan, so
+// the rows and their order may not move.
+var metamorphicArms = []struct {
+	name    string
+	rewrite func(*Query) map[string]graph.Value
+}{
+	{"param", liftParams},
+	{"where", func(q *Query) map[string]graph.Value { inlineToWhere(q); return nil }},
+	{"where-param", func(q *Query) map[string]graph.Value { inlineToWhere(q); return liftParams(q) }},
+	{"commute", func(q *Query) map[string]graph.Value { inlineToWhere(q); commuteWhere(q); return nil }},
+	{"in", func(q *Query) map[string]graph.Value { inlineToWhere(q); eqToIn(q); return nil }},
+	{"in-param", func(q *Query) map[string]graph.Value { inlineToWhere(q); eqToIn(q); return liftParams(q) }},
+}
+
+// rewriteQuery parses src, applies one rewrite and renders the result back
+// to text; changed is false when the rewrite left the query as it was.
+func rewriteQuery(src string, rewrite func(*Query) map[string]graph.Value) (text string, params map[string]graph.Value, changed bool) {
+	q, err := Parse(src)
+	if err != nil {
+		return "", nil, false
+	}
+	before := q.String()
+	params = rewrite(q)
+	text = q.String()
+	return text, params, len(params) > 0 || text != before
+}
+
+func matchClauses(q *Query) []*MatchClause {
+	var out []*MatchClause
+	for _, cl := range q.Clauses {
+		if mc, ok := cl.(*MatchClause); ok {
+			out = append(out, mc)
+		}
+	}
+	return out
+}
+
+// andAll joins conjuncts left to right; nil when there are none.
+func andAll(cs []Expr) Expr {
+	var out Expr
+	for _, c := range cs {
+		if out == nil {
+			out = c
+		} else {
+			out = &Binary{Op: OpAnd, L: out, R: c}
+		}
+	}
+	return out
+}
+
+// liftParams replaces every literal or literal-list operand in a MATCH
+// clause — inline property values and both sides of every WHERE operator —
+// with a fresh $parameter bound to the same value.
+func liftParams(q *Query) map[string]graph.Value {
+	params := map[string]graph.Value{}
+	lift := func(e Expr) Expr {
+		var v graph.Value
+		switch x := e.(type) {
+		case *Literal:
+			v = x.Value
+		case *ListLit:
+			vs := make([]graph.Value, len(x.Elems))
+			for i, el := range x.Elems {
+				lit, ok := el.(*Literal)
+				if !ok {
+					return e
+				}
+				vs[i] = lit.Value
+			}
+			v = graph.NewList(vs...)
+		default:
+			return e
+		}
+		name := fmt.Sprintf("p%d", len(params))
+		params[name] = v
+		return &Parameter{Name: name}
+	}
+	for _, mc := range matchClauses(q) {
+		for _, part := range mc.Patterns {
+			for _, np := range part.Nodes {
+				for k, e := range np.Props {
+					np.Props[k] = lift(e)
+				}
+			}
+			for _, rp := range part.Rels {
+				for k, e := range rp.Props {
+					rp.Props[k] = lift(e)
+				}
+			}
+		}
+		WalkExpr(mc.Where, func(e Expr) {
+			if b, ok := e.(*Binary); ok {
+				b.L, b.R = lift(b.L), lift(b.R)
+			}
+		})
+	}
+	return params
+}
+
+// inlineToWhere moves every inline property of a named node or single-hop
+// relationship in a MATCH clause into its WHERE as `v.k = x`.
+func inlineToWhere(q *Query) {
+	for _, mc := range matchClauses(q) {
+		var conds []Expr
+		move := func(v string, props map[string]Expr) {
+			if v == "" {
+				return
+			}
+			for _, k := range sortedPropKeys(props) {
+				conds = append(conds, &Binary{Op: OpEq, L: &PropAccess{Target: &Variable{Name: v}, Key: k}, R: props[k]})
+				delete(props, k)
+			}
+		}
+		for _, part := range mc.Patterns {
+			for _, np := range part.Nodes {
+				move(np.Var, np.Props)
+			}
+			for _, rp := range part.Rels {
+				if !rp.IsVarLength() {
+					move(rp.Var, rp.Props)
+				}
+			}
+		}
+		if mc.Where != nil {
+			conds = append(conds, mc.Where)
+		}
+		mc.Where = andAll(conds)
+	}
+}
+
+// commuteWhere reverses the top-level conjuncts of every MATCH WHERE.
+func commuteWhere(q *Query) {
+	for _, mc := range matchClauses(q) {
+		if mc.Where == nil {
+			continue
+		}
+		var cs []Expr
+		splitAnd(mc.Where, &cs)
+		for i, j := 0, len(cs)-1; i < j; i, j = i+1, j-1 {
+			cs[i], cs[j] = cs[j], cs[i]
+		}
+		mc.Where = andAll(cs)
+	}
+}
+
+// eqToIn rewrites every top-level WHERE conjunct `v.k = literal` as
+// `v.k IN [literal]`.
+func eqToIn(q *Query) {
+	for _, mc := range matchClauses(q) {
+		if mc.Where == nil {
+			continue
+		}
+		var cs []Expr
+		splitAnd(mc.Where, &cs)
+		for i, c := range cs {
+			b, ok := c.(*Binary)
+			if !ok || b.Op != OpEq {
+				continue
+			}
+			if _, ok := b.L.(*PropAccess); ok {
+				if lit, ok := b.R.(*Literal); ok {
+					cs[i] = &Binary{Op: OpIn, L: b.L, R: &ListLit{Elems: []Expr{lit}}}
+				}
+			}
+		}
+		mc.Where = andAll(cs)
 	}
 }
 
@@ -388,6 +586,8 @@ func (sch *oracleSchema) fixedCorpus() []string {
 			if sch.count[l] <= 5000 {
 				qs = append(qs, fmt.Sprintf("MATCH (a:%s) WHERE a.%s >= %d RETURN a.%s AS x", l, ps.key, v, ps.key))
 			}
+			// IN with a duplicate: a union of equality seeks.
+			qs = append(qs, fmt.Sprintf("MATCH (a:%s) WHERE a.%s IN [%d, %d, %d] RETURN count(*) AS n", l, ps.key, v+1, v, v+1))
 		}
 		if len(sch.strProps[l]) > 0 {
 			ps := sch.strProps[l][0]
@@ -409,6 +609,15 @@ func (sch *oracleSchema) fixedCorpus() []string {
 		if r.count <= 5000 {
 			qs = append(qs, fmt.Sprintf(
 				"UNWIND [1, 2] AS x MATCH (a:%s)-[:%s]->(b) RETURN count(*) AS n", r.from, r.typ))
+		}
+		// A WHERE equality on either end of a labeled path: the seek must
+		// anchor the variable it names, whichever end the plan starts from.
+		for _, end := range []struct{ v, label string }{{"a", r.from}, {"b", r.to}} {
+			if ps := sch.props[end.label]; len(ps) > 0 && r.count <= 20000 {
+				lit, _ := cypherLit(ps[0].val)
+				qs = append(qs, fmt.Sprintf("MATCH (a:%s)-[:%s]->(b:%s) WHERE %s.%s = %s RETURN count(*) AS n",
+					r.from, r.typ, r.to, end.v, ps[0].key, lit))
+			}
 		}
 		// Edge-property shapes: inline equality, WHERE equality and WHERE
 		// range on a typed relationship variable — these drive the

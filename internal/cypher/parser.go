@@ -210,6 +210,7 @@ func (p *parser) parseMatch() (*MatchClause, error) {
 		}
 		m.Where = w
 	}
+	m.sargs = Sargs(m)
 	return m, nil
 }
 

@@ -8,10 +8,10 @@ import (
 
 // This file implements cost-based ordering for MATCH clauses: whole pattern
 // parts are executed smallest-anchor-first, and each part may be reversed so
-// matching starts from its cheaper end. Estimates come from the same index
-// stats the matcher scans (label buckets, label+property posting lists, edge
-// type counts), so the plan and the execution never disagree about what a
-// seek would touch. Reordering changes only the order rows are produced in,
+// matching starts from its cheaper end. Estimates come from the graph the
+// clause executes on, through the same seek chooser the matcher uses
+// (sarg.go) plus label buckets and edge type counts, so the plan and the
+// execution never disagree about what a seek would touch. Reordering changes only the order rows are produced in,
 // never the result set: every candidate is still re-checked by the matcher,
 // and relationship uniqueness is symmetric under part order and direction.
 
@@ -41,13 +41,14 @@ func identityPlan(parts []*PatternPart) *matchPlan {
 	return p
 }
 
-// planMatch orders the clause's pattern parts by estimated cost. bound holds
-// the variable names already bound when the clause runs; ranges holds the
-// clause's seekable WHERE intervals (nil when range pushdown is off), which
-// sharpen anchor estimates for range-selective parts. When any part's
-// property expressions reference variables in ways the planner cannot prove
-// safe under reordering, it falls back to the identity plan.
-func (ex *Executor) planMatch(parts []*PatternPart, bound map[string]bool, ranges whereRanges) *matchPlan {
+// planMatch orders the clause's pattern parts by estimated cost on g, the
+// graph the clause executes on. bound holds the variable names already
+// bound when the clause runs; accs holds the clause's bound index accesses
+// (nil when pushdown is off), which sharpen anchor estimates exactly as
+// they narrow the matcher's anchors. When any part's property expressions
+// reference variables in ways the planner cannot prove safe under
+// reordering, it falls back to the identity plan.
+func (ex *Executor) planMatch(g *graph.Graph, parts []*PatternPart, bound map[string]bool, accs []access) *matchPlan {
 	if ex.noReorder || len(parts) == 0 {
 		return identityPlan(parts)
 	}
@@ -76,12 +77,12 @@ func (ex *Executor) planMatch(parts []*PatternPart, bound map[string]bool, range
 			if !orientationSafe(part, false, known) {
 				continue // depends on a part not yet placed
 			}
-			cost := ex.partCost(part, false, known, ranges)
+			cost := partCost(g, part, false, known, accs)
 			if bestPos == -1 || cost < bestCost {
 				bestPos, bestRev, bestCost = pos, false, cost
 			}
 			if reversible(part) && orientationSafe(part, true, known) {
-				if rc := ex.partCost(part, true, known, ranges); rc < bestCost {
+				if rc := partCost(g, part, true, known, accs); rc < bestCost {
 					bestPos, bestRev, bestCost = pos, true, rc
 				}
 			}
@@ -99,7 +100,7 @@ func (ex *Executor) planMatch(parts []*PatternPart, bound map[string]bool, range
 		plan.parts = append(plan.parts, part)
 		plan.order = append(plan.order, idx)
 		plan.reversed = append(plan.reversed, bestRev)
-		plan.est = append(plan.est, ex.estAnchor(part, known, ranges))
+		plan.est = append(plan.est, estAnchor(g, part, known, accs))
 		addIntroduced(part, known)
 		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
 	}
@@ -124,119 +125,41 @@ func recordPlan(m *matcher, plan *matchPlan) {
 }
 
 // estAnchor estimates how many candidate nodes anchoring the part
-// enumerates, mirroring the matcher's actual anchor choice (bound variable,
-// equality or range index seek, edge-derived anchor, smallest label bucket,
-// full scan). Range counts come from the same ordered postings the matcher
-// seeks, so range-selective parts cost what they will actually scan.
-func (ex *Executor) estAnchor(part *PatternPart, bound map[string]bool, ranges whereRanges) float64 {
+// enumerates, through the matcher's own anchor choice (bound variable,
+// chooseNodeSeek, smallest label bucket, chooseEdgeSeek, full scan), so a
+// selective part costs what it will actually scan.
+func estAnchor(g *graph.Graph, part *PatternPart, bound map[string]bool, accs []access) float64 {
 	np := part.Nodes[0]
 	if np.Var != "" && bound[np.Var] {
 		return 1
 	}
-	if !ex.noPushdown && len(np.Labels) > 0 {
-		best := -1
-		for _, l := range np.Labels {
-			for _, k := range sortedPropKeys(np.Props) {
-				lit, ok := np.Props[k].(*Literal)
-				if !ok {
-					continue
-				}
-				n := len(ex.g.LabelPropNodes(l, k, lit.Value))
-				if best == -1 || n < best {
-					best = n
-				}
-			}
-			if byKey := ranges.forVar(np.Var); len(byKey) > 0 {
-				for _, k := range sortedRangeKeys(byKey) {
-					r := byKey[k]
-					if c := ex.g.LabelPropRangeCount(l, k, r.lo, r.hi); best == -1 || c < best {
-						best = c
-					}
-				}
-			}
-		}
-		if best >= 0 {
-			return float64(best)
-		}
+	if s, ok := chooseNodeSeek(g, np, accs); ok && s.est >= 0 {
+		return float64(s.est)
 	}
 	if len(np.Labels) > 0 {
-		best := -1
-		for _, l := range np.Labels {
-			if n := len(ex.g.LabelNodes(l)); best == -1 || n < best {
-				best = n
-			}
-		}
-		return float64(best)
+		_, ns := smallestLabel(g, np.Labels)
+		return float64(len(ns))
 	}
-	if !ex.noPushdown {
-		if est, ok := ex.estEdgeAnchor(part, ranges); ok {
-			return est
-		}
+	if s, ok := chooseEdgeSeek(g, part, accs); ok && s.est >= 0 {
+		return float64(s.est)
 	}
-	return float64(ex.g.NodeCount())
-}
-
-// estEdgeAnchor estimates the edge-derived anchor the matcher would take
-// for an unlabeled, relationship-constrained part (see
-// edgeAnchorCandidates); ok=false when that anchor would not engage.
-func (ex *Executor) estEdgeAnchor(part *PatternPart, ranges whereRanges) (float64, bool) {
-	if len(part.Rels) == 0 {
-		return 0, false
-	}
-	rel := part.Rels[0]
-	if rel.IsVarLength() || len(rel.Types) == 0 {
-		return 0, false
-	}
-	eq := constRelProps(rel)
-	rr := ranges.forVar(rel.Var)
-	if len(eq) == 0 && len(rr) == 0 {
-		return 0, false
-	}
-	eqKeys := make([]string, 0, len(eq))
-	for k := range eq {
-		eqKeys = append(eqKeys, k)
-	}
-	sort.Strings(eqKeys)
-	total := 0
-	for _, t := range rel.Types {
-		best := -1
-		for _, k := range eqKeys {
-			b := graph.ValueBound(eq[k], true)
-			if c := ex.g.TypePropRangeCount(t, k, b, b); best == -1 || c < best {
-				best = c
-			}
-		}
-		for _, k := range sortedRangeKeys(rr) {
-			r := rr[k]
-			if c := ex.g.TypePropRangeCount(t, k, r.lo, r.hi); best == -1 || c < best {
-				best = c
-			}
-		}
-		total += best
-	}
-	if rel.Direction == DirBoth {
-		total *= 2
-	}
-	if n := ex.g.NodeCount(); total >= n {
-		return 0, false
-	}
-	return float64(total), true
+	return float64(g.NodeCount())
 }
 
 // partCost estimates the matching work of one part in the given orientation:
 // anchor cardinality times per-hop fanout times target-label selectivity.
-func (ex *Executor) partCost(part *PatternPart, reversed bool, bound map[string]bool, ranges whereRanges) float64 {
+func partCost(g *graph.Graph, part *PatternPart, reversed bool, bound map[string]bool, accs []access) float64 {
 	p := part
 	if reversed {
 		p = reversePart(part)
 	}
-	total := float64(ex.g.NodeCount())
+	total := float64(g.NodeCount())
 	if total < 1 {
 		total = 1
 	}
-	cost := ex.estAnchor(p, bound, ranges)
+	cost := estAnchor(g, p, bound, accs)
 	for i, rel := range p.Rels {
-		fanout := ex.relFanout(rel) / total
+		fanout := relFanout(g, rel) / total
 		if fanout < 0.01 {
 			fanout = 0.01 // keep longer chains from rounding to free
 		}
@@ -245,28 +168,35 @@ func (ex *Executor) partCost(part *PatternPart, reversed bool, bound map[string]
 		if target.Var != "" && bound[target.Var] {
 			sel = 1 / total
 		} else if len(target.Labels) > 0 {
-			best := -1
-			for _, l := range target.Labels {
-				if n := len(ex.g.LabelNodes(l)); best == -1 || n < best {
-					best = n
-				}
-			}
-			sel = float64(best) / total
+			_, ns := smallestLabel(g, target.Labels)
+			sel = float64(len(ns)) / total
 		}
 		cost *= fanout * total * sel
 	}
 	return cost
 }
 
+// smallestLabel returns the first of the labels with the fewest nodes, and
+// those nodes: the label scan an anchor falls back to.
+func smallestLabel(g *graph.Graph, labels []string) (string, []*graph.Node) {
+	best, ns := labels[0], g.LabelNodes(labels[0])
+	for _, l := range labels[1:] {
+		if c := g.LabelNodes(l); len(c) < len(ns) {
+			best, ns = l, c
+		}
+	}
+	return best, ns
+}
+
 // relFanout estimates how many edges one expansion of rel examines across
 // the whole graph (the union of its admissible types).
-func (ex *Executor) relFanout(rel *RelPattern) float64 {
+func relFanout(g *graph.Graph, rel *RelPattern) float64 {
 	if len(rel.Types) == 0 {
-		return float64(ex.g.EdgeCount())
+		return float64(g.EdgeCount())
 	}
 	n := 0
 	for _, t := range rel.Types {
-		n += len(ex.g.EdgesWithType(t))
+		n += len(g.EdgesWithType(t))
 	}
 	return float64(n)
 }

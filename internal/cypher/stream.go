@@ -145,9 +145,7 @@ func (ex *Executor) execMatchStream(ctx *evalCtx, m *matcher, mc *MatchClause, r
 		return nil
 	}
 
-	m.ranges = ex.clauseRanges(mc.Where)
-	plan := ex.planMatch(mc.Patterns, nil, m.ranges)
-	recordPlan(m, plan)
+	plan := ex.planClause(m, mc, nil)
 	res.Stats.RowsExamined++
 
 	emitted := 0

@@ -121,6 +121,12 @@ func (p *ordPosting[T]) scan(lo, hi Bound) []T {
 	for ; i < j; i++ {
 		ents = append(ents, p.rows[i]...)
 	}
+	return inBucketOrder(ents)
+}
+
+// inBucketOrder sorts entries back into bucket-insertion order and returns
+// their items in a fresh slice.
+func inBucketOrder[T any](ents []ordEntry[T]) []T {
 	sort.Slice(ents, func(a, b int) bool { return ents[a].pos < ents[b].pos })
 	out := make([]T, len(ents))
 	for k, e := range ents {
@@ -211,6 +217,29 @@ func (g *Graph) ordEdgePosting(typ, key string) *ordPosting[*Edge] {
 func (g *Graph) LabelPropRange(label, key string, lo, hi Bound) []*Node {
 	p := g.ordNodePosting(label, key)
 	out := p.scan(lo, hi)
+	g.ordSeeks.Add(1)
+	g.ordRows.Add(int64(len(out)))
+	return out
+}
+
+// LabelPropIn returns the nodes carrying the label whose property key
+// equals any of vs, in label-bucket (insertion) order: the union of the
+// equality seeks, served from the ordered posting because its entries keep
+// their bucket positions. vs must have distinct sort keys; a null matches
+// nothing. The slice is freshly allocated and owned by the caller.
+func (g *Graph) LabelPropIn(label, key string, vs []Value) []*Node {
+	p := g.ordNodePosting(label, key)
+	var ents []ordEntry[*Node]
+	for _, v := range vs {
+		if v.IsNull() {
+			continue
+		}
+		b := ValueBound(v, true)
+		for i, j := p.segment(b, b); i < j; i++ {
+			ents = append(ents, p.rows[i]...)
+		}
+	}
+	out := inBucketOrder(ents)
 	g.ordSeeks.Add(1)
 	g.ordRows.Add(int64(len(out)))
 	return out

@@ -116,6 +116,23 @@ func TestRangeInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestLabelPropInOrder pins that the union of equality seeks comes back in
+// label-bucket order, not in the order of the values asked for, and that a
+// null value matches nothing.
+func TestLabelPropInOrder(t *testing.T) {
+	g := New("in")
+	for _, v := range []int64{5, 1, 9, 3, 1} {
+		g.AddNode([]string{"Q"}, Props{"x": NewInt(v)})
+	}
+	var got []int64
+	for _, n := range g.LabelPropIn("Q", "x", []Value{NewInt(3), Null, NewFloat(1), NewInt(5)}) {
+		got = append(got, n.Props["x"].Int())
+	}
+	if want := []int64{5, 1, 3, 1}; !intsEqual(got, want) {
+		t.Fatalf("IN order %v, want bucket order %v", got, want)
+	}
+}
+
 func rangeIntsLabel(t *testing.T, g *Graph, label string) []int64 {
 	t.Helper()
 	var out []int64

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types a property Value can hold.
@@ -50,32 +51,45 @@ func (k Kind) String() string {
 // Value is a dynamically typed property value. The zero Value is null.
 // Values are immutable by convention: callers must not mutate the list
 // returned by List().
+//
+// A Value is a 24-byte tagged union, because property maps hold most of a
+// graph's memory: n carries a bool, an int64 or a float64's bits, or the
+// length of the string or list whose data p points to (p keeps that data
+// alive for the GC). The accessors check the kind, so a mismatched call
+// returns the zero payload as it always has.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
-	s    string
-	l    []Value
+	n    uint64
+	p    unsafe.Pointer
 }
 
 // Null is the null value.
 var Null = Value{}
 
 // NewBool returns a boolean value.
-func NewBool(b bool) Value { return Value{kind: KindBool, b: b} }
+func NewBool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.n = 1
+	}
+	return v
+}
 
 // NewInt returns an integer value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // NewString returns a string value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+func NewString(s string) Value {
+	return Value{kind: KindString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // NewList returns a list value wrapping vs. The slice is retained.
-func NewList(vs ...Value) Value { return Value{kind: KindList, l: vs} }
+func NewList(vs ...Value) Value {
+	return Value{kind: KindList, n: uint64(len(vs)), p: unsafe.Pointer(unsafe.SliceData(vs))}
+}
 
 // Of converts a native Go value into a Value. Supported inputs: nil, bool,
 // all int/uint widths, float32/64, string, []Value, and slices of the
@@ -146,28 +160,48 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Bool returns the boolean payload; valid only when Kind is KindBool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.kind == KindBool && v.n != 0 }
 
 // Int returns the integer payload; valid only when Kind is KindInt.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
 
 // Float returns the float payload; valid only when Kind is KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
 
 // Str returns the string payload; valid only when Kind is KindString.
-func (v Value) Str() string { return v.s }
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
 
 // List returns the list payload; valid only when Kind is KindList.
-func (v Value) List() []Value { return v.l }
+func (v Value) List() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.p), int(v.n))
+}
 
 // AsFloat returns the numeric payload widened to float64 and whether the
 // value is numeric.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.Int()), true
 	case KindFloat:
-		return v.f, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -176,7 +210,7 @@ func (v Value) AsFloat() (float64, bool) {
 // Truthy reports whether the value is the boolean true. Non-boolean values
 // are never truthy (Cypher boolean semantics reject them at type level; we
 // coerce to false).
-func (v Value) Truthy() bool { return v.kind == KindBool && v.b }
+func (v Value) Truthy() bool { return v.Bool() }
 
 // Equal reports strict equality between two values. Numeric values compare
 // across int/float. Null equals nothing, not even null (SQL/Cypher
@@ -196,18 +230,19 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case KindBool:
-		return v.b == o.b
+		return v.n == o.n
 	case KindString:
-		return v.s == o.s
+		return v.Str() == o.Str()
 	case KindList:
-		if len(v.l) != len(o.l) {
+		vl, ol := v.List(), o.List()
+		if len(vl) != len(ol) {
 			return false
 		}
-		for i := range v.l {
-			if v.l[i].IsNull() && o.l[i].IsNull() {
+		for i := range vl {
+			if vl[i].IsNull() && ol[i].IsNull() {
 				continue
 			}
-			if !v.l[i].Equal(o.l[i]) {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
@@ -242,16 +277,9 @@ func (v Value) Compare(o Value) (int, bool) {
 	}
 	switch v.kind {
 	case KindString:
-		return strings.Compare(v.s, o.s), true
+		return strings.Compare(v.Str(), o.Str()), true
 	case KindBool:
-		a, b := 0, 0
-		if v.b {
-			a = 1
-		}
-		if o.b {
-			b = 1
-		}
-		return a - b, true
+		return int(v.n) - int(o.n), true
 	default:
 		return 0, false
 	}
@@ -264,7 +292,7 @@ func (v Value) SortKey() string {
 	case KindNull:
 		return "\xff"
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return "0:1"
 		}
 		return "0:0"
@@ -279,10 +307,10 @@ func (v Value) SortKey() string {
 		}
 		return fmt.Sprintf("1:%016x", bits)
 	case KindString:
-		return "2:" + v.s
+		return "2:" + v.Str()
 	case KindList:
-		parts := make([]string, len(v.l))
-		for i, e := range v.l {
+		parts := make([]string, int(v.n))
+		for i, e := range v.List() {
 			parts[i] = e.SortKey()
 		}
 		return "3:" + strings.Join(parts, "\x00")
@@ -302,16 +330,16 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.Bool())
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.Str())
 	case KindList:
-		parts := make([]string, len(v.l))
-		for i, e := range v.l {
+		parts := make([]string, int(v.n))
+		for i, e := range v.List() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -324,7 +352,7 @@ func (v Value) String() string {
 // else as String.
 func (v Value) Display() string {
 	if v.kind == KindString {
-		return v.s
+		return v.Str()
 	}
 	return v.String()
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -29,6 +30,27 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 		if got := c.v.String(); got != c.str {
 			t.Errorf("String() = %q, want %q", got, c.str)
 		}
+	}
+}
+
+// TestValueLayout pins the compact 24-byte representation and that every
+// accessor returns its zero payload when the kind does not match.
+func TestValueLayout(t *testing.T) {
+	if s := unsafe.Sizeof(Value{}); s != 24 {
+		t.Fatalf("sizeof(Value) = %d, want 24", s)
+	}
+	for _, v := range []Value{Null, NewBool(true), NewInt(-7), NewFloat(2.5), NewString("hé"), NewList(NewInt(1)), NewList()} {
+		k := v.Kind()
+		if (k != KindBool && v.Bool()) || (k != KindInt && v.Int() != 0) || (k != KindFloat && v.Float() != 0) ||
+			(k != KindString && v.Str() != "") || (k != KindList && v.List() != nil) {
+			t.Errorf("%v: a mismatched accessor returned a payload", v)
+		}
+	}
+	if v := NewString("hé"); v.Str() != "hé" || NewFloat(-0.5).Float() != -0.5 || NewInt(-7).Int() != -7 {
+		t.Fatal("payload round trip")
+	}
+	if l := NewList(NewInt(1), NewString("a")).List(); len(l) != 2 || l[1].Str() != "a" {
+		t.Fatalf("list payload %v", l)
 	}
 }
 

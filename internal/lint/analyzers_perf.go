@@ -13,7 +13,7 @@ func init() {
 	})
 	Register(&Analyzer{
 		Name:     "indexseek",
-		Doc:      "predicate written where the planner cannot use an index: WHERE equalities are only index-eligible inline (node label+property or edge type+property), and range predicates need a labeled node or typed relationship for the ordered index",
+		Doc:      "seekable WHERE predicate (equality, IN, range or prefix on a literal or $parameter) on a variable bound without a label or relationship type, so no index can serve it",
 		Severity: Info,
 		Run:      runIndexSeek,
 	})
@@ -92,93 +92,50 @@ func runCartesian(p *Pass) {
 	}
 }
 
-// runIndexSeek flags WHERE predicates the planner cannot turn into index
-// seeks, and stays silent on the ones it can:
-//
-//   - equality on a labeled node variable is only index-eligible written
-//     inline (`(v:L {key: lit})`), never in WHERE (see cypher/plan.go);
-//   - equality on a typed relationship variable is only index-eligible
-//     inline (`[r:T {key: lit}]`), where the ordered edge index serves it;
-//   - range predicates (<, <=, >, >=, STARTS WITH) on a labeled node or
-//     typed relationship variable ARE seek-able in WHERE via the ordered
-//     property index, so they are not flagged — only unlabeled/untyped
-//     variables, which no index can serve, draw a diagnostic.
+// runIndexSeek flags the WHERE predicates the planner's own classifier
+// (cypher.Sargs) accepts — equality, IN, range or prefix on a literal or
+// $parameter — whose variable no index can serve, because every pattern
+// element binding it lacks a label (nodes) or a type (relationships). On
+// a labeled node or typed relationship such a predicate seeks the index
+// from WHERE exactly as it would inline, so it draws nothing.
 func runIndexSeek(p *Pass) {
 	for _, cl := range p.Query.Clauses {
 		m, ok := cl.(*cypher.MatchClause)
-		if !ok || m.Where == nil {
+		if !ok {
 			continue
 		}
-		// Variables bound by this clause's patterns.
-		nodes := map[string]*cypher.NodePattern{}
-		rels := map[string]*cypher.RelPattern{}
+		// Whether some element binding each variable is labeled / typed.
+		labeled := map[string]bool{}
+		typed := map[string]bool{}
 		for _, part := range m.Patterns {
 			for _, n := range part.Nodes {
 				if n.Var != "" {
-					nodes[n.Var] = n
+					labeled[n.Var] = labeled[n.Var] || len(n.Labels) > 0
 				}
 			}
 			for _, r := range part.Rels {
 				if r.Var != "" {
-					rels[r.Var] = r
+					typed[r.Var] = typed[r.Var] || len(r.Types) > 0
 				}
 			}
 		}
-		var cs []cypher.Expr
-		conjuncts(m.Where, &cs)
-		for _, c := range cs {
-			b, ok := c.(*cypher.Binary)
-			if !ok {
-				continue
+		for _, s := range cypher.Sargs(m) {
+			if s.Src == nil {
+				continue // inline: constrains its own element, labeled or not
 			}
-			isRange := false
-			switch b.Op {
-			case cypher.OpEq:
-			case cypher.OpLt, cypher.OpLte, cypher.OpGt, cypher.OpGte, cypher.OpStartsWith:
-				isRange = true
-			default:
-				continue
-			}
-			v, key, lit, flipped, ok := propAndLiteral(b)
-			if !ok || lit.Value.IsNull() {
-				continue
-			}
-			if flipped && b.Op == cypher.OpStartsWith {
-				continue // `lit STARTS WITH v.key` constrains nothing seek-able
-			}
-			if rp, isRelVar := rels[v.Name]; isRelVar {
-				if len(rp.Types) == 0 {
-					p.Reportf(b.OpSpan,
+			if ok, isRel := typed[s.Var]; isRel {
+				if !ok {
+					p.Reportf(s.Src.OpSpan,
 						"predicate on %s.%s cannot use the edge index: the pattern binds `%s` without a relationship type",
-						v.Name, key, v.Name)
-					continue
+						s.Var, s.Key, s.Var)
 				}
-				if !isRange {
-					p.Reportf(b.OpSpan,
-						"equality on %s.%s in WHERE is not index-eligible; write it inline as [%s:%s {%s: %s}] to enable an edge-index seek",
-						v.Name, key, v.Name, rp.Types[0], key, lit.Value)
-				}
-				// Ranges on a typed relationship seek via the ordered edge
-				// index directly from WHERE: nothing to report.
 				continue
 			}
-			np, isNodeVar := nodes[v.Name]
-			if !isNodeVar {
-				continue
-			}
-			if len(np.Labels) == 0 {
-				p.Reportf(b.OpSpan,
+			if ok, isNode := labeled[s.Var]; isNode && !ok {
+				p.Reportf(s.Src.OpSpan,
 					"predicate on %s.%s cannot use an index: the pattern binds `%s` without a label",
-					v.Name, key, v.Name)
-				continue
+					s.Var, s.Key, s.Var)
 			}
-			if !isRange {
-				p.Reportf(b.OpSpan,
-					"equality on %s.%s in WHERE is not index-eligible; write it inline as (%s:%s {%s: %s}) to enable an index seek",
-					v.Name, key, v.Name, np.Labels[0], key, lit.Value)
-			}
-			// Ranges on a labeled node seek via the ordered property index
-			// directly from WHERE: nothing to report.
 		}
 	}
 }
