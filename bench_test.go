@@ -380,8 +380,8 @@ func wwcRules() []rules.Rule {
 // BenchmarkScoreRules measures the rule-scoring hot path on WWC2019 across
 // engine configurations. seed_serial approximates the pre-optimization
 // path: a fresh executor per rule (cold plan cache) with index pushdown
-// and the count fast path disabled. warm_serial shares one scorer (warm
-// plan cache, all fast paths); parallel adds the GOMAXPROCS worker pool.
+// disabled. warm_serial shares one scorer (warm plan cache, index seeks);
+// parallel adds the GOMAXPROCS worker pool.
 // The cypher-vs-native cross-check runs first, outside the timed loops.
 func BenchmarkScoreRules(b *testing.B) {
 	g := benchGraph("WWC2019")
@@ -407,7 +407,7 @@ func BenchmarkScoreRules(b *testing.B) {
 	b.Run("seed_serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range rs {
-				ex := cypher.NewExecutor(g, cypher.WithIndexPushdown(false), cypher.WithCountFastPath(false))
+				ex := cypher.NewExecutor(g, cypher.WithIndexPushdown(false))
 				runQueries(b, ex, r.Queries())
 			}
 		}

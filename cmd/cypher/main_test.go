@@ -50,7 +50,7 @@ func TestREPL(t *testing.T) {
 	if !strings.Contains(s, "NodeByLabelScan(u:User)") {
 		t.Error("explain command failed")
 	}
-	if !strings.Contains(s, "plan cache hit: true") || !strings.Contains(s, "count fast path: true") {
+	if !strings.Contains(s, "plan cache hit: true") {
 		t.Errorf("profile command failed:\n%s", s)
 	}
 	if !strings.Contains(s, "error:") {

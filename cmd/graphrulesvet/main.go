@@ -1,7 +1,6 @@
 // Command graphrulesvet is the engine-invariant multichecker: a custom
 // static-analysis suite proving this repo's hand-enforced disciplines —
-// the MVCC commitMu→mu lock order, the query-budget charge rule,
-// ctx-first APIs, typed-error matching, frozen-snapshot immutability —
+// the MVCC commitMu→mu lock order, ctx-first APIs, typed-error matching, frozen-snapshot immutability —
 // at compile time, plus curated stock-lite passes (copylocks,
 // loopclosure, unusedwrite, nilness).
 //

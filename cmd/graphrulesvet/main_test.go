@@ -83,7 +83,7 @@ func TestListRoster(t *testing.T) {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"budgetcharge", "copylocks", "ctxflow", "frozenwrite",
+		"copylocks", "ctxflow", "frozenwrite",
 		"lockorder", "loopclosure", "nilness", "typederr", "unusedwrite",
 	} {
 		if !strings.Contains(stdout, name) {

@@ -204,8 +204,6 @@ var (
 	// WithRangePushdown toggles ordered-index range seeks for inequality,
 	// interval and STARTS WITH predicates.
 	WithRangePushdown = cypher.WithRangePushdown
-	// WithCountFastPath toggles the count(*) shortcut.
-	WithCountFastPath = cypher.WithCountFastPath
 	// WithPlanCacheCap bounds the prepared-plan cache to n entries (LRU
 	// eviction); n <= 0 keeps the default cap.
 	WithPlanCacheCap = cypher.WithPlanCacheCap

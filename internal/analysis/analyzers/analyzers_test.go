@@ -15,10 +15,6 @@ import (
 
 func TestLockOrderCorpus(t *testing.T) { atest.Run(t, analyzers.LockOrder, "testdata/lockorder") }
 
-func TestBudgetChargeCorpus(t *testing.T) {
-	atest.Run(t, analyzers.BudgetCharge, "testdata/budgetcharge")
-}
-
 func TestCtxFlowCorpus(t *testing.T) { atest.Run(t, analyzers.CtxFlow, "testdata/ctxflow") }
 
 func TestTypedErrCorpus(t *testing.T) { atest.Run(t, analyzers.TypedErr, "testdata/typederr") }
@@ -41,8 +37,7 @@ func TestNilnessCorpus(t *testing.T) { atest.Run(t, analyzers.Nilness, "testdata
 
 // TestAllCleanOnCleanCorpus pins the whole suite silent on an
 // engine-shaped package that follows every discipline: correct lock
-// order, charged Row accumulation, ctx threading, errors.Is matching,
-// read-only snapshot use.
+// order, ctx threading, errors.Is matching, read-only snapshot use.
 func TestAllCleanOnCleanCorpus(t *testing.T) {
 	for _, a := range analyzers.All() {
 		atest.RunClean(t, a, "testdata/clean")
@@ -51,12 +46,12 @@ func TestAllCleanOnCleanCorpus(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 9 {
-		t.Fatalf("All() = %d analyzers, want 9", len(all))
+	if len(all) != 8 {
+		t.Fatalf("All() = %d analyzers, want 8", len(all))
 	}
 	custom := analyzers.Custom()
-	if len(custom) != 5 {
-		t.Fatalf("Custom() = %d analyzers, want 5", len(custom))
+	if len(custom) != 4 {
+		t.Fatalf("Custom() = %d analyzers, want 4", len(custom))
 	}
 	names := map[string]bool{}
 	var order []string

@@ -1,7 +1,7 @@
 // Package analyzers holds the engine-invariant analyzer suite bundled
-// into cmd/graphrulesvet: five custom analyzers encoding this engine's
-// hand-enforced disciplines (lockorder, budgetcharge, ctxflow, typederr,
-// frozenwrite) plus stdlib-only reimplementations of curated stock vet
+// into cmd/graphrulesvet: four custom analyzers encoding this engine's
+// hand-enforced disciplines (lockorder, ctxflow, typederr, frozenwrite)
+// plus stdlib-only reimplementations of curated stock vet
 // passes (copylocks, loopclosure, unusedwrite, nilness). See Registry.
 package analyzers
 

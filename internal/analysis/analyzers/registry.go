@@ -2,11 +2,10 @@ package analyzers
 
 import "github.com/graphrules/graphrules/internal/analysis"
 
-// All returns the full graphrulesvet suite: the five engine-invariant
+// All returns the full graphrulesvet suite: the four engine-invariant
 // analyzers plus the curated stock-lite passes, in stable name order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		BudgetCharge,
 		CopyLocks,
 		CtxFlow,
 		FrozenWrite,
@@ -18,7 +17,7 @@ func All() []*analysis.Analyzer {
 	}
 }
 
-// Custom returns only the five engine-invariant analyzers.
+// Custom returns only the four engine-invariant analyzers.
 func Custom() []*analysis.Analyzer {
-	return []*analysis.Analyzer{BudgetCharge, CtxFlow, FrozenWrite, LockOrder, TypedErr}
+	return []*analysis.Analyzer{CtxFlow, FrozenWrite, LockOrder, TypedErr}
 }

@@ -15,8 +15,6 @@ import (
 //
 //	ctxshim       — this function is a sanctioned non-Ctx→Ctx wrapper
 //	                shim; ctxflow permits its context.Background().
-//	nocharge      — this accumulation site is exempt from budgetcharge
-//	                (give the reason after the verb).
 //	locktransfer  — this function intentionally returns while holding
 //	                locks (ownership transfers to the caller); lockorder
 //	                skips its held-at-return check.
@@ -115,12 +113,5 @@ func (p *Pass) FuncMarked(fn *ast.FuncDecl, verb string) bool {
 		}
 	}
 	pp := p.Fset.Position(fn.Pos())
-	return p.markers.lineMarked(pp.Filename, pp.Line, verb, "")
-}
-
-// LineMarked reports whether the line holding pos (or the line above)
-// carries the marker verb.
-func (p *Pass) LineMarked(pos token.Pos, verb string) bool {
-	pp := p.Fset.Position(pos)
 	return p.markers.lineMarked(pp.Filename, pp.Line, verb, "")
 }

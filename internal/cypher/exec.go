@@ -32,13 +32,10 @@ type ClauseTiming struct {
 }
 
 // ExecStats instruments one execution of a query: how much of the graph
-// the matcher touched, which fast paths fired, and where the time went.
+// the matcher touched and where the time went.
 type ExecStats struct {
 	// PlanCacheHit is true when Run served the parse from the plan cache.
 	PlanCacheHit bool
-	// CountFastPath is true when the single-aggregate fast path executed
-	// the query without materializing binding rows.
-	CountFastPath bool
 	// RowsScanned counts candidate nodes and edges examined while
 	// matching patterns.
 	RowsScanned int
@@ -61,10 +58,6 @@ type ExecStats struct {
 	// Seeks details every index seek taken, in execution order: the chosen
 	// bounds plus estimated vs. actual candidate rows.
 	Seeks []SeekInfo
-	// Streamed is true when the query ran on the streaming fast path
-	// (session.go / stream.go): result rows were emitted to the cursor
-	// incrementally and never materialized in Result.Rows.
-	Streamed bool
 	// Reordered is true when cost-based planning changed part order or
 	// orientation; PartOrder lists the chosen execution order (original
 	// pattern indices) and PartEst the anchor cardinality estimates, both
@@ -72,7 +65,9 @@ type ExecStats struct {
 	Reordered bool
 	PartOrder []int
 	PartEst   []float64
-	// Clauses records per-clause wall-clock timings in execution order.
+	// Clauses records one timing per clause, in clause order: the time from
+	// the start of execution until that clause's operator flushed
+	// (pipeline.go), so the timings are cumulative.
 	Clauses []ClauseTiming
 }
 
@@ -118,10 +113,6 @@ func (s SeekInfo) String() string {
 func (s ExecStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan cache hit: %v\n", s.PlanCacheHit)
-	fmt.Fprintf(&b, "count fast path: %v\n", s.CountFastPath)
-	if s.Streamed {
-		fmt.Fprintf(&b, "streamed: true\n")
-	}
 	fmt.Fprintf(&b, "rows scanned: %d\n", s.RowsScanned)
 	fmt.Fprintf(&b, "index seeks: %d (%d candidate(s))\n", s.IndexSeeks, s.IndexRows)
 	if s.RangeSeeks > 0 {
@@ -250,12 +241,11 @@ type planEntry struct {
 type Executor struct {
 	g *graph.Graph
 
-	// noPushdown / noCountFast disable the respective fast paths; they
-	// exist for A/B benchmarking and plan debugging. noReorder disables
-	// cost-based part ordering (parts then run exactly as written), which
-	// also backs the differential oracle's reference configuration.
+	// noPushdown disables index seeks; it exists for A/B benchmarking and
+	// plan debugging. noReorder disables cost-based part ordering (parts
+	// then run exactly as written), which also backs the differential
+	// oracle's reference configuration.
 	noPushdown      bool
-	noCountFast     bool
 	noReorder       bool
 	noRangePushdown bool
 	snapshotPin     bool // read-only queries run on a pinned epoch snapshot
@@ -392,8 +382,8 @@ func (ex *Executor) Run(src string, params map[string]graph.Value) (*Result, err
 // promptly once the context is done.
 //
 // RunCtx is the materializing shim over the Session/Cursor API
-// (session.go): it executes the same path a Session's materialized run
-// takes and returns the fully-collected Result. Callers that want
+// (session.go): it runs the same execution pipeline with a slice sink and
+// returns the fully-collected Result. Callers that want
 // incremental row delivery, explicit transactions, or per-session state
 // should open a Session instead.
 //
@@ -455,10 +445,9 @@ func (ex *Executor) executeProtected(cctx context.Context, q *Query, params map[
 }
 
 // executeGoverned is the body of ExecuteCtx, after admission and under
-// its panic-recovery and budget-stamping defers. When sink is non-nil and
-// the query matches the streaming plan, result rows are emitted to the
-// sink incrementally instead of materializing in res.Rows (see stream.go);
-// otherwise the query materializes as usual and the caller drains res.Rows.
+// its panic-recovery and budget-stamping defers. It runs the query on the
+// execution pipeline (pipeline.go): result rows go to sink when one is
+// given — a Session's cursor — and to res.Rows otherwise.
 func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[string]graph.Value, sink *streamSink) (*Result, error) {
 	// Under WithSnapshotPin, a read-only query resolves the graph once to
 	// the current epoch's frozen snapshot: the whole scan observes exactly
@@ -478,74 +467,7 @@ func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[s
 
 	res := &Result{}
 	m.exec = &res.Exec
-
-	if sink != nil {
-		if mc, rc, ok := streamFastPlan(q); ok {
-			start := time.Now()
-			err := ex.execMatchStream(ctx, m, mc, rc, res, sink)
-			res.Exec.Clauses = append(res.Exec.Clauses,
-				ClauseTiming{Clause: "MatchStream", Duration: time.Since(start)})
-			return res, err
-		}
-	}
-
-	if !ex.noCountFast {
-		if mc, item, ok := countFastPlan(q); ok {
-			res.Exec.CountFastPath = true
-			start := time.Now()
-			err := ex.execMatchAggregate(ctx, m, mc, item, res)
-			res.Exec.Clauses = append(res.Exec.Clauses,
-				ClauseTiming{Clause: "MatchAggregate", Duration: time.Since(start)})
-			if err != nil {
-				return res, err
-			}
-			return res, nil
-		}
-	}
-
-	rows := []Row{{}}
-	var returned bool
-
-	for i, clause := range q.Clauses {
-		if returned {
-			return res, execErrf("RETURN must be the final clause")
-		}
-		if m.cctx != nil {
-			if err := m.cctx.Err(); err != nil {
-				return res, err
-			}
-		}
-		if err := m.bud.checkDeadline(); err != nil {
-			return res, err
-		}
-		var err error
-		start := time.Now()
-		switch cl := clause.(type) {
-		case *MatchClause:
-			rows, err = ex.execMatch(ctx, m, cl, rows, &res.Stats)
-		case *WithClause:
-			rows, err = ex.execWith(ctx, cl, rows)
-		case *ReturnClause:
-			err = ex.execReturn(ctx, cl, rows, res)
-			returned = true
-		case *UnwindClause:
-			rows, err = ex.execUnwind(ctx, cl, rows)
-		case *CreateClause:
-			rows, err = ex.execCreate(ctx, cl, rows, &res.Stats)
-		case *SetClause:
-			rows, err = ex.execSet(ctx, cl, rows, &res.Stats)
-		case *DeleteClause:
-			rows, err = ex.execDelete(ctx, cl, rows, &res.Stats)
-		default:
-			err = execErrf("unsupported clause at position %d", i)
-		}
-		res.Exec.Clauses = append(res.Exec.Clauses,
-			ClauseTiming{Clause: clauseName(clause), Duration: time.Since(start)})
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return res, ex.runPipeline(ctx, q, res, sink)
 }
 
 func clauseName(c Clause) string {
@@ -575,125 +497,7 @@ func clauseName(c Clause) string {
 	}
 }
 
-// countFastPlan recognizes the scoring workload's canonical shape — a
-// single non-optional MATCH followed by RETURN of exactly one bare
-// aggregate (`MATCH ... [WHERE ...] RETURN count(*) AS n`) — which can be
-// executed by streaming matches into one aggregate state without ever
-// materializing binding rows.
-func countFastPlan(q *Query) (*MatchClause, *ReturnItem, bool) {
-	if len(q.Clauses) != 2 {
-		return nil, nil, false
-	}
-	mc, ok := q.Clauses[0].(*MatchClause)
-	if !ok || mc.Optional {
-		return nil, nil, false
-	}
-	rc, ok := q.Clauses[1].(*ReturnClause)
-	if !ok {
-		return nil, nil, false
-	}
-	p := &rc.Projection
-	if p.Star || p.Distinct || len(p.OrderBy) > 0 || p.Skip != nil || p.Limit != nil || len(p.Items) != 1 {
-		return nil, nil, false
-	}
-	fc, ok := p.Items[0].Expr.(*FuncCall)
-	if !ok || !aggregateFuncs[fc.Name] {
-		return nil, nil, false
-	}
-	return mc, p.Items[0], true
-}
-
-// execMatchAggregate is the count fast path: it streams pattern matches
-// into a single aggregate state, skipping row materialization, grouping
-// and projection. Its observable result is identical to the general path.
-func (ex *Executor) execMatchAggregate(ctx *evalCtx, m *matcher, mc *MatchClause, item *ReturnItem, res *Result) error {
-	fc := item.Expr.(*FuncCall)
-	plan := ex.planClause(m, mc, nil)
-	res.Stats.RowsExamined++
-
-	st := newAggState(fc)
-	err := m.matchAll(plan.parts, Row{}, func(r Row) error {
-		if mc.Where != nil {
-			t, err := ctx.evalBool(mc.Where, r)
-			if err != nil {
-				return err
-			}
-			if t != triTrue {
-				return nil
-			}
-		}
-		return st.add(ctx, r)
-	})
-	if err != nil {
-		return err
-	}
-	res.Columns = []string{item.Name()}
-	res.Rows = append(res.Rows, []Datum{st.result()})
-	return nil
-}
-
 // ---------- MATCH ----------
-
-// planClause binds a MATCH clause's Sargs to this run's parameters and
-// plans its parts against the graph the matcher reads (a pinned snapshot
-// under WithSnapshotPin), so estimates and seeks see one epoch.
-func (ex *Executor) planClause(m *matcher, mc *MatchClause, bound map[string]bool) *matchPlan {
-	m.acc = ex.bindSargs(mc.sargs, m.ctx.params, false)
-	plan := ex.planMatch(m.g, mc.Patterns, bound, m.acc)
-	recordPlan(m, plan)
-	return plan
-}
-
-func (ex *Executor) execMatch(ctx *evalCtx, m *matcher, cl *MatchClause, in []Row, st *Stats) ([]Row, error) {
-	newVars := patternVars(cl.Patterns)
-	var bound map[string]bool
-	if len(in) > 0 {
-		bound = make(map[string]bool, len(in[0]))
-		for v := range in[0] {
-			bound[v] = true
-		}
-	}
-	plan := ex.planClause(m, cl, bound)
-
-	var out []Row
-	for _, row := range in {
-		st.RowsExamined++
-		matched := false
-		err := m.matchAll(plan.parts, row, func(r Row) error {
-			if cl.Where != nil {
-				t, err := ctx.evalBool(cl.Where, r)
-				if err != nil {
-					return err
-				}
-				if t != triTrue {
-					return nil
-				}
-			}
-			matched = true
-			if err := m.bud.chargeRow(r); err != nil {
-				return err
-			}
-			out = append(out, r.clone())
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !matched && cl.Optional {
-			r := row.clone()
-			for _, v := range newVars {
-				if _, bound := r[v]; !bound {
-					r[v] = NullDatum
-				}
-			}
-			if err := m.bud.chargeRow(r); err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
 
 // patternVars returns the variable names introduced by a pattern list, in
 // first-appearance order.
@@ -823,11 +627,10 @@ func (m *matcher) bindNode(part *PatternPart, i int, row Row, used map[graph.ID]
 		}
 	}
 
-	candidates := m.anchorCandidates(part)
-	if m.exec != nil {
-		m.exec.RowsScanned += len(candidates)
-	}
-	for _, n := range candidates {
+	for _, n := range m.anchorCandidates(part) {
+		if m.exec != nil {
+			m.exec.RowsScanned++
+		}
 		if err := m.pollCtx(); err != nil {
 			return err
 		}
@@ -1013,10 +816,10 @@ func (m *matcher) expandRel(part *PatternPart, i int, n *graph.Node, row Row, us
 	}
 
 	tryEdges := func(es []*graph.Edge) error {
-		if m.exec != nil {
-			m.exec.RowsScanned += len(es)
-		}
 		for _, e := range es {
+			if m.exec != nil {
+				m.exec.RowsScanned++
+			}
 			if used[e.ID] {
 				continue
 			}
@@ -1178,10 +981,10 @@ func (m *matcher) expandVarLength(part *PatternPart, i int, start *graph.Node, r
 			return nil
 		}
 		step := func(es []*graph.Edge, wantOut bool) error {
-			if m.exec != nil {
-				m.exec.RowsScanned += len(es)
-			}
 			for _, e := range es {
+				if m.exec != nil {
+					m.exec.RowsScanned++
+				}
 				if used[e.ID] {
 					continue
 				}
@@ -1226,336 +1029,6 @@ func (m *matcher) expandVarLength(part *PatternPart, i int, start *graph.Node, r
 	return walk(start, 0, nil)
 }
 
-// ---------- WITH / RETURN ----------
-
-func (ex *Executor) execWith(ctx *evalCtx, cl *WithClause, in []Row) ([]Row, error) {
-	outRows, _, err := ex.project(ctx, &cl.Projection, in)
-	if err != nil {
-		return nil, err
-	}
-	if cl.Where == nil {
-		return outRows, nil
-	}
-	var filtered []Row
-	for _, r := range outRows {
-		t, err := ctx.evalBool(cl.Where, r)
-		if err != nil {
-			return nil, err
-		}
-		if t == triTrue {
-			filtered = append(filtered, r)
-		}
-	}
-	return filtered, nil
-}
-
-func (ex *Executor) execReturn(ctx *evalCtx, cl *ReturnClause, in []Row, res *Result) error {
-	outRows, cols, err := ex.project(ctx, &cl.Projection, in)
-	if err != nil {
-		return err
-	}
-	res.Columns = cols
-	for _, r := range outRows {
-		vals := make([]Datum, len(cols))
-		for i, c := range cols {
-			vals[i] = r[c]
-		}
-		res.Rows = append(res.Rows, vals)
-	}
-	return nil
-}
-
-// project evaluates a projection over input rows, handling star expansion,
-// aggregation grouping, DISTINCT, ORDER BY, SKIP and LIMIT. It returns the
-// output rows (bound by output column name) and the column order.
-func (ex *Executor) project(ctx *evalCtx, p *Projection, in []Row) ([]Row, []string, error) {
-	items := p.Items
-	if p.Star {
-		var starItems []*ReturnItem
-		var scope []string
-		if len(in) > 0 {
-			scope = sortedVarNames(in[0])
-		}
-		for _, v := range scope {
-			starItems = append(starItems, &ReturnItem{Expr: &Variable{Name: v}, Alias: v})
-		}
-		items = append(starItems, items...)
-	}
-	if len(items) == 0 {
-		return nil, nil, execErrf("projection requires at least one item")
-	}
-
-	cols := make([]string, len(items))
-	colSeen := map[string]bool{}
-	for i, it := range items {
-		name := it.Name()
-		for colSeen[name] {
-			name += "_"
-		}
-		colSeen[name] = true
-		cols[i] = name
-	}
-
-	hasAgg := false
-	for _, it := range items {
-		if ContainsAggregate(it.Expr) {
-			hasAgg = true
-			break
-		}
-	}
-
-	var outRows []Row
-	var err error
-	if hasAgg {
-		outRows, err = ex.projectGrouped(ctx, items, cols, in)
-	} else {
-		outRows, err = ex.projectSimple(ctx, items, cols, in)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if p.Distinct {
-		seen := map[string]bool{}
-		var dd []Row
-		for _, r := range outRows {
-			var b strings.Builder
-			for _, c := range cols {
-				b.WriteString(r[c].Hashable())
-				b.WriteByte('|')
-			}
-			k := b.String()
-			if !seen[k] {
-				seen[k] = true
-				dd = append(dd, r)
-			}
-		}
-		outRows = dd
-	}
-
-	if len(p.OrderBy) > 0 {
-		if err := ex.sortRows(ctx, p.OrderBy, cols, outRows); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if p.Skip != nil {
-		n, err := ex.evalPosInt(ctx, p.Skip, "SKIP")
-		if err != nil {
-			return nil, nil, err
-		}
-		if n >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[n:]
-		}
-	}
-	if p.Limit != nil {
-		n, err := ex.evalPosInt(ctx, p.Limit, "LIMIT")
-		if err != nil {
-			return nil, nil, err
-		}
-		if n < len(outRows) {
-			outRows = outRows[:n]
-		}
-	}
-	return outRows, cols, nil
-}
-
-func (ex *Executor) evalPosInt(ctx *evalCtx, e Expr, what string) (int, error) {
-	d, err := ctx.eval(e, Row{})
-	if err != nil {
-		return 0, err
-	}
-	v := d.Scalar()
-	if v.Kind() != graph.KindInt || v.Int() < 0 {
-		return 0, execErrf("%s requires a non-negative integer", what)
-	}
-	return int(v.Int()), nil
-}
-
-func (ex *Executor) projectSimple(ctx *evalCtx, items []*ReturnItem, cols []string, in []Row) ([]Row, error) {
-	out := make([]Row, 0, len(in))
-	for _, r := range in {
-		nr := make(Row, len(items))
-		for i, it := range items {
-			d, err := ctx.eval(it.Expr, r)
-			if err != nil {
-				return nil, err
-			}
-			nr[cols[i]] = d
-		}
-		if err := ctx.bud().chargeRow(nr); err != nil {
-			return nil, err
-		}
-		out = append(out, nr)
-	}
-	return out, nil
-}
-
-func (ex *Executor) projectGrouped(ctx *evalCtx, items []*ReturnItem, cols []string, in []Row) ([]Row, error) {
-	// Grouping keys: items with no aggregate inside.
-	type keyItem struct {
-		idx int
-	}
-	var keyItems []keyItem
-	var aggCalls []*FuncCall
-	for i, it := range items {
-		if ContainsAggregate(it.Expr) {
-			collectAggregates(it.Expr, &aggCalls)
-		} else {
-			keyItems = append(keyItems, keyItem{idx: i})
-		}
-	}
-
-	type group struct {
-		keyVals map[int]Datum // item index -> value
-		aggs    []*aggState
-		first   Row
-	}
-	groups := map[string]*group{}
-	var order []string
-
-	for _, r := range in {
-		var kb strings.Builder
-		keyVals := make(map[int]Datum, len(keyItems))
-		for _, ki := range keyItems {
-			d, err := ctx.eval(items[ki.idx].Expr, r)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[ki.idx] = d
-			kb.WriteString(d.Hashable())
-			kb.WriteByte('|')
-		}
-		k := kb.String()
-		grp := groups[k]
-		if grp == nil {
-			grp = &group{keyVals: keyVals, first: r}
-			for _, fc := range aggCalls {
-				grp.aggs = append(grp.aggs, newAggState(fc))
-			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		for _, st := range grp.aggs {
-			if err := st.add(ctx, r); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// With no grouping keys and no input rows, aggregates still produce one
-	// row (count(*) over nothing is 0).
-	if len(in) == 0 && len(keyItems) == 0 {
-		grp := &group{keyVals: map[int]Datum{}, first: Row{}}
-		for _, fc := range aggCalls {
-			grp.aggs = append(grp.aggs, newAggState(fc))
-		}
-		groups["∅"] = grp
-		order = append(order, "∅")
-	}
-
-	out := make([]Row, 0, len(order))
-	for _, k := range order {
-		grp := groups[k]
-		aggResults := make(map[*FuncCall]Datum, len(grp.aggs))
-		for _, st := range grp.aggs {
-			aggResults[st.fn] = st.result()
-		}
-		ctx.aggResults = aggResults
-		nr := make(Row, len(items))
-		for i, it := range items {
-			if d, ok := grp.keyVals[i]; ok {
-				nr[cols[i]] = d
-				continue
-			}
-			d, err := ctx.eval(it.Expr, grp.first)
-			if err != nil {
-				ctx.aggResults = nil
-				return nil, err
-			}
-			nr[cols[i]] = d
-		}
-		ctx.aggResults = nil
-		out = append(out, nr)
-	}
-	return out, nil
-}
-
-func (ex *Executor) sortRows(ctx *evalCtx, orderBy []*SortItem, cols []string, rows []Row) error {
-	type keyed struct {
-		row  Row
-		keys []string
-	}
-	ks := make([]keyed, len(rows))
-	for i, r := range rows {
-		keys := make([]string, len(orderBy))
-		for j, si := range orderBy {
-			// ORDER BY sees output bindings; a bare identifier matching a
-			// column refers to it, otherwise the expression is evaluated on
-			// the output row.
-			d, err := ctx.eval(si.Expr, r)
-			if err != nil {
-				return err
-			}
-			keys[j] = d.Scalar().SortKey()
-		}
-		ks[i] = keyed{row: r, keys: keys}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		for j := range orderBy {
-			ka, kb := ks[a].keys[j], ks[b].keys[j]
-			if ka == kb {
-				continue
-			}
-			if orderBy[j].Desc {
-				return ka > kb
-			}
-			return ka < kb
-		}
-		return false
-	})
-	for i := range rows {
-		rows[i] = ks[i].row
-	}
-	return nil
-}
-
-// ---------- UNWIND ----------
-
-func (ex *Executor) execUnwind(ctx *evalCtx, cl *UnwindClause, in []Row) ([]Row, error) {
-	var out []Row
-	for _, r := range in {
-		d, err := ctx.eval(cl.Expr, r)
-		if err != nil {
-			return nil, err
-		}
-		v := d.Scalar()
-		switch v.Kind() {
-		case graph.KindNull:
-			continue
-		case graph.KindList:
-			for _, e := range v.List() {
-				nr := r.clone()
-				nr[cl.Alias] = ValDatum(e)
-				if err := ctx.bud().chargeRow(nr); err != nil {
-					return nil, err
-				}
-				out = append(out, nr)
-			}
-		default:
-			nr := r.clone()
-			nr[cl.Alias] = ValDatum(v)
-			if err := ctx.bud().chargeRow(nr); err != nil {
-				return nil, err
-			}
-			out = append(out, nr)
-		}
-	}
-	return out, nil
-}
-
 // ---------- CREATE / SET / DELETE ----------
 
 func (ex *Executor) execCreate(ctx *evalCtx, cl *CreateClause, in []Row, st *Stats) ([]Row, error) {
@@ -1566,9 +1039,6 @@ func (ex *Executor) execCreate(ctx *evalCtx, cl *CreateClause, in []Row, st *Sta
 			if err := ex.createPart(ctx, part, r, st); err != nil {
 				return nil, err
 			}
-		}
-		if err := ctx.bud().chargeRow(r); err != nil {
-			return nil, err
 		}
 		out = append(out, r)
 	}

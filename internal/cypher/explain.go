@@ -71,12 +71,6 @@ func (ex *Executor) Explain(src string) (string, error) {
 			line("%s (%d target(s))", kw, len(c.Exprs))
 		}
 	}
-	if !ex.noCountFast {
-		if _, _, ok := countFastPlan(q); ok {
-			depth = 1
-			line("[count fast path: streams matches into one aggregate]")
-		}
-	}
 	pc := ex.PlanCacheStats()
 	is := ex.g.IndexStats()
 	fmt.Fprintf(&b, "Cache: plan hits=%d misses=%d entries=%d; prop index builds=%d lookups=%d live=%d",

@@ -9,8 +9,8 @@ import (
 	"github.com/graphrules/graphrules/internal/graph"
 )
 
-// equivalence queries exercised against every engine configuration: fast
-// paths must be observably identical to the general path.
+// equivalence queries run with and without index pushdown: a seek must be
+// observably identical to the scan it replaces.
 var equivQueries = []string{
 	`MATCH (u:User) RETURN count(*) AS n`,
 	`MATCH (u:User {verified: true}) RETURN count(*) AS n`,
@@ -39,67 +39,33 @@ func resultSignature(res *Result) string {
 	return b.String()
 }
 
-// TestFastPathEquivalence cross-checks pushdown and the count fast path
-// against the plain scan engine on the same graph.
+// TestFastPathEquivalence cross-checks index pushdown against the plain
+// scan engine on the same graph.
 func TestFastPathEquivalence(t *testing.T) {
 	g := socialGraph()
-	base := NewExecutor(g, WithIndexPushdown(false), WithCountFastPath(false))
-
-	configs := []struct {
-		name               string
-		pushdown, fastPath bool
-	}{
-		{"pushdown", true, false},
-		{"fastpath", false, true},
-		{"both", true, true},
-	}
-	for _, cfg := range configs {
-		ex := NewExecutor(g, WithIndexPushdown(cfg.pushdown), WithCountFastPath(cfg.fastPath))
-		for _, q := range equivQueries {
-			want, err := base.Run(q, nil)
-			if err != nil {
-				t.Fatalf("base %q: %v", q, err)
-			}
-			got, err := ex.Run(q, nil)
-			if err != nil {
-				t.Fatalf("%s %q: %v", cfg.name, q, err)
-			}
-			if resultSignature(got) != resultSignature(want) {
-				t.Errorf("%s %q:\n got %q\nwant %q", cfg.name, q, resultSignature(got), resultSignature(want))
-			}
+	base := NewExecutor(g, WithIndexPushdown(false))
+	ex := NewExecutor(g)
+	for _, q := range equivQueries {
+		want, err := base.Run(q, nil)
+		if err != nil {
+			t.Fatalf("base %q: %v", q, err)
+		}
+		got, err := ex.Run(q, nil)
+		if err != nil {
+			t.Fatalf("pushdown %q: %v", q, err)
+		}
+		if resultSignature(got) != resultSignature(want) {
+			t.Errorf("pushdown %q:\n got %q\nwant %q", q, resultSignature(got), resultSignature(want))
 		}
 	}
 }
 
-// TestCountFastPathZeroMatches pins the empty-group contract: a bare
+// TestAggregateZeroMatches pins the empty-group contract: a bare
 // aggregate over zero matches still yields exactly one row.
-func TestCountFastPathZeroMatches(t *testing.T) {
-	g := socialGraph()
-	res := run(t, g, `MATCH (x:Nope) RETURN count(*) AS n`)
-	if !res.Exec.CountFastPath {
-		t.Fatalf("expected count fast path, stats: %+v", res.Exec)
-	}
+func TestAggregateZeroMatches(t *testing.T) {
+	res := run(t, socialGraph(), `MATCH (x:Nope) RETURN count(*) AS n`)
 	if res.Len() != 1 || res.FirstInt("n") != 0 {
 		t.Fatalf("zero-match count: rows=%d n=%d", res.Len(), res.FirstInt("n"))
-	}
-}
-
-func TestCountFastPathNotTakenWhenDisqualified(t *testing.T) {
-	g := socialGraph()
-	ex := NewExecutor(g)
-	for _, q := range []string{
-		`MATCH (u:User) RETURN count(*) AS n, u.name AS name`, // two items
-		`MATCH (u:User) RETURN u.name AS name`,                // no aggregate
-		`OPTIONAL MATCH (u:Nope) RETURN count(*) AS n`,        // optional
-		`MATCH (u:User) RETURN count(*) AS n ORDER BY n`,      // order by
-	} {
-		res, err := ex.Run(q, nil)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		if res.Exec.CountFastPath {
-			t.Errorf("%q unexpectedly took the count fast path", q)
-		}
 	}
 }
 
@@ -232,6 +198,10 @@ func TestExecStatsTimings(t *testing.T) {
 	if res.Exec.Clauses[0].Clause != "Match" || res.Exec.Clauses[1].Clause != "Return" {
 		t.Errorf("clause names = %+v", res.Exec.Clauses)
 	}
+	// Each Duration runs to its operator's flush, and RETURN flushes last.
+	if res.Exec.Clauses[1].Duration < res.Exec.Clauses[0].Duration {
+		t.Errorf("clause timings not cumulative: %+v", res.Exec.Clauses)
+	}
 	if res.Exec.RowsScanned == 0 {
 		t.Errorf("RowsScanned not tracked: %+v", res.Exec)
 	}
@@ -241,7 +211,7 @@ func TestExecStatsTimings(t *testing.T) {
 }
 
 // TestErrorPathKeepsStats: a query that fails mid-scan still returns a
-// stats-bearing Result — materializing path and count fast path alike — so
+// stats-bearing Result — row and aggregate queries alike — so
 // `profile` after a failure shows the work done before the error.
 func TestErrorPathKeepsStats(t *testing.T) {
 	ex := NewExecutor(chainGraph(100)) // the first Person has idx 0

@@ -1,7 +1,6 @@
 package cypher
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -558,14 +557,4 @@ func collectAggregates(e Expr, out *[]*FuncCall) {
 		}
 		collectAggregates(x.Else, out)
 	}
-}
-
-// sortedVarNames returns the sorted variable names bound in a row.
-func sortedVarNames(r Row) []string {
-	names := make([]string, 0, len(r))
-	for k := range r {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

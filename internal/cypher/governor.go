@@ -4,7 +4,7 @@ package cypher
 // budgets enforced inside the executor so one runaway query (an unbounded
 // cartesian product, a pathological variable-length expansion) degrades
 // into a typed error instead of taking the process down. Three budgets
-// exist — a materialized-row cap, an approximate memory budget, and a
+// exist — a cap on rows kept or emitted, an approximate memory budget, and a
 // per-query deadline — all configured as executor options (WithMaxRows,
 // WithMemoryBudget, WithQueryDeadline) and all enforced at the same
 // amortized cadence as the existing context polls, so an ungoverned
@@ -144,22 +144,11 @@ func (b *budget) checkDeadline() error {
 	return nil
 }
 
-// rowBytes estimates the retained size of one materialized row: the map
-// header plus one bucket entry (string header + datum) per binding. A
+// rowBytes estimates the retained size of one kept row of width bindings:
+// the row header plus one entry (string header + datum) per binding. A
 // deliberate over-approximation on the cheap side — the budget bounds
 // order-of-magnitude blowups, not byte-exact accounting.
-func rowBytes(r Row) int64 { return 48 + int64(len(r))*64 }
-
-// chargeRow accounts one materialized row (count and approximate bytes).
-func (b *budget) chargeRow(r Row) error {
-	if b == nil {
-		return nil
-	}
-	if err := b.chargeRows(1); err != nil {
-		return err
-	}
-	return b.chargeMem(rowBytes(r))
-}
+func rowBytes(width int) int64 { return 48 + int64(width)*64 }
 
 // aggStateBytes is the approximate retained cost charged per element a
 // collect()/DISTINCT aggregate state accumulates.

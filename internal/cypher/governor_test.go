@@ -133,6 +133,30 @@ func TestQueryDeadlineKill(t *testing.T) {
 	}
 }
 
+// nestedUnwindCount counts a 10^12-row product built by UNWIND alone: no
+// row is kept or emitted until its one result row, so only the deadline or
+// cancellation can stop it.
+const nestedUnwindCount = `UNWIND range(1, 10000) AS a UNWIND range(1, 10000) AS b UNWIND range(1, 10000) AS c RETURN count(*)`
+
+// TestNestedUnwindDeadlineKill: UNWIND polls the deadline per element, so a
+// counting product with no matcher scan still dies on WithQueryDeadline.
+func TestNestedUnwindDeadlineKill(t *testing.T) {
+	ex := NewExecutor(graph.New("empty"), WithQueryDeadline(20*time.Millisecond))
+	done := make(chan error, 1)
+	go func() {
+		_, err := ex.Run(nestedUnwindCount, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if re := asExhausted(t, err); re.Resource != "deadline" {
+			t.Fatalf("resource=%q, want deadline", re.Resource)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested UNWIND count(*) still running 10s past a 20ms deadline")
+	}
+}
+
 // TestUnderBudgetIdentity: generous budgets must never change results —
 // governed output is byte-identical to ungoverned.
 func TestUnderBudgetIdentity(t *testing.T) {

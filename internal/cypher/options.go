@@ -30,11 +30,6 @@ func WithRangePushdown(on bool) Option {
 	return func(ex *Executor) { ex.noRangePushdown = !on }
 }
 
-// WithCountFastPath toggles the single-aggregate fast path (on by default).
-func WithCountFastPath(on bool) Option {
-	return func(ex *Executor) { ex.noCountFast = !on }
-}
-
 // WithReorder toggles cost-based pattern-part ordering (on by default).
 // Disabling it pins the written part order and orientation, which also pins
 // the serial row order — the differential oracle's reference mode.
@@ -48,10 +43,13 @@ func WithPlanCacheCap(n int) Option {
 	return func(ex *Executor) { ex.setPlanCacheCap(n) }
 }
 
-// WithMaxRows caps the number of rows one query may materialize (matched
-// rows, OPTIONAL padding rows, UNWIND expansions). Exceeding it kills the
-// query with a *ResourceExhaustedError carrying the partial ExecStats.
-// n <= 0 disables the cap (default).
+// WithMaxRows caps the number of rows one query may keep or emit: rows an
+// operator buffers (sort, DISTINCT keys, groups, the input of a write) and
+// result rows. Rows that only stream through are not counted, so a
+// counting product (of MATCH parts or UNWINDs) is bounded by
+// WithQueryDeadline and cancellation, which the matcher and UNWIND poll.
+// Exceeding it kills the query with a *ResourceExhaustedError carrying the
+// partial ExecStats. n <= 0 disables the cap (default).
 // A query that finishes under the cap is byte-identical to ungoverned.
 func WithMaxRows(n int) Option {
 	return func(ex *Executor) {
@@ -62,9 +60,9 @@ func WithMaxRows(n int) Option {
 	}
 }
 
-// WithMemoryBudget bounds a query's approximate retained allocation:
-// materialized rows and aggregate-state elements charge an estimated byte
-// cost against the budget as they are created. The accounting is
+// WithMemoryBudget bounds a query's approximate retained allocation: the
+// rows WithMaxRows counts and collect()/DISTINCT aggregate elements charge
+// an estimated byte cost against the budget as they are kept. The accounting is
 // deliberately coarse — it bounds order-of-magnitude blowups (runaway
 // cartesian products, unbounded collect()) rather than exact footprints.
 // n <= 0 disables the budget (default).

@@ -12,7 +12,10 @@ package cypher
 // multisets, since part reordering is allowed to permute unordered
 // results. Metamorphic arms then rewrite each query into forms that must
 // give the reference rows in the reference order on the reference
-// executor itself (see metamorphicArms). Queries are checked from a worker
+// executor itself (see metamorphicArms), and the count arm checks the
+// Aggregate operator against the row stream: for every `MATCH … RETURN
+// <items>` query, `RETURN count(*)` over the same MATCH equals the number
+// of reference rows (see countQuery). Queries are checked from a worker
 // pool over shared executors, so the oracle also exercises the engine's
 // only parallelism: concurrent serial queries on one Executor.
 //
@@ -215,6 +218,17 @@ func TestDifferentialOracle(t *testing.T) {
 						return
 					}
 				}
+				if text, ok := countQuery(q); ok {
+					n := int64(-1)
+					res, err := ref.Run(text, nil)
+					if err == nil {
+						n = res.FirstInt("n")
+					}
+					if n != int64(len(refRows)) {
+						fail("count", "aggregate divergence",
+							fmt.Sprintf("rewritten: %s\n%d reference rows, count %d, err=%v", text, len(refRows), n, err))
+					}
+				}
 			}
 			workers := runtime.GOMAXPROCS(0)
 			if workers > len(corpus) {
@@ -245,7 +259,8 @@ func TestDifferentialOracle(t *testing.T) {
 // each rewrite moves predicates onto another seek path — a $parameter
 // slot, a WHERE conjunct instead of an inline map, commuted conjuncts, a
 // one-element IN list — and any seek returns a subsequence of the scan, so
-// the rows and their order may not move.
+// the rows and their order may not move; with-star routes every row
+// through a `WITH *` projection, which rebinds each variable unchanged.
 var metamorphicArms = []struct {
 	name    string
 	rewrite func(*Query) map[string]graph.Value
@@ -256,6 +271,40 @@ var metamorphicArms = []struct {
 	{"commute", func(q *Query) map[string]graph.Value { inlineToWhere(q); commuteWhere(q); return nil }},
 	{"in", func(q *Query) map[string]graph.Value { inlineToWhere(q); eqToIn(q); return nil }},
 	{"in-param", func(q *Query) map[string]graph.Value { inlineToWhere(q); eqToIn(q); return liftParams(q) }},
+	{"with-star", func(q *Query) map[string]graph.Value { withStar(q); return nil }},
+}
+
+// withStar inserts `WITH *` before the final RETURN.
+func withStar(q *Query) {
+	n := len(q.Clauses)
+	if rc, ok := q.Clauses[n-1].(*ReturnClause); ok {
+		q.Clauses = append(q.Clauses[:n-1:n-1], &WithClause{Projection: Projection{Star: true}}, rc)
+	}
+}
+
+// countQuery rewrites `MATCH … [WHERE …] RETURN <items>` — one non-optional
+// MATCH, items without aggregates, no DISTINCT, SKIP or LIMIT — into the
+// same MATCH with `RETURN count(*) AS n`.
+func countQuery(src string) (string, bool) {
+	q, err := Parse(src)
+	if err != nil || len(q.Clauses) != 2 {
+		return "", false
+	}
+	if mc, ok := q.Clauses[0].(*MatchClause); !ok || mc.Optional {
+		return "", false
+	}
+	rc, ok := q.Clauses[1].(*ReturnClause)
+	if !ok || rc.Distinct || rc.Skip != nil || rc.Limit != nil {
+		return "", false
+	}
+	for _, it := range rc.Items {
+		if ContainsAggregate(it.Expr) {
+			return "", false
+		}
+	}
+	q.Clauses[1] = &ReturnClause{Projection: Projection{Items: []*ReturnItem{
+		{Expr: &FuncCall{Name: "count", Star: true}, Alias: "n"}}}}
+	return q.String(), true
 }
 
 // rewriteQuery parses src, applies one rewrite and renders the result back

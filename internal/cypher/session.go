@@ -7,11 +7,13 @@ package cypher
 // connection discipline) and optionally one explicit transaction.
 //
 // Streaming: Run executes the query on a dedicated goroutine and returns
-// immediately with a Cursor; rows flow through a bounded channel, so a
-// slow consumer backpressures the scan instead of materializing the
-// result (stream.go). Queries outside the streaming plan shape fall back
-// to the materialized executor and their rows are replayed through the
-// same channel — the Cursor contract is identical either way.
+// immediately with a Cursor. Every query runs on the execution pipeline
+// (pipeline.go) with a channel sink (stream.go): the columns are published
+// once the pipeline is compiled, and each result row reaches the cursor as
+// the pipeline produces it, so a slow consumer backpressures the scan
+// instead of the result being materialized. Closing the cursor cancels a
+// read; a write runs to completion once started — Close discards its
+// rows, not its effects.
 //
 // Admission: when the Executor carries an admission controller, Run
 // admits synchronously — callers see AdmissionRejectedError before any
@@ -106,8 +108,9 @@ func (s *Session) Run(cctx context.Context, src string, params map[string]graph.
 	// transaction (which holds it exclusively). Inside a transaction the
 	// session already holds the exclusive lock — RWMutex is not
 	// reentrant, so it must not be re-acquired here. Reads are untouched.
+	mutates := QueryMutates(q)
 	var unlock func()
-	if s.tx == nil && QueryMutates(q) {
+	if s.tx == nil && mutates {
 		unlock, err = s.ex.lockTx(cctx, true)
 		if err != nil {
 			return nil, err
@@ -132,33 +135,27 @@ func (s *Session) Run(cctx context.Context, src string, params map[string]graph.
 		fin:    make(chan struct{}),
 	}
 	s.cur = c
+	execCtx := ctx
+	if mutates {
+		execCtx = cctx // Close stops the write's rows, not the write
+	}
 
 	go func() {
-		res, rerr := s.ex.executeProtected(ctx, q, params, c.sink)
+		res, rerr := s.ex.executeProtected(execCtx, q, params, c.sink)
 		if res != nil {
 			res.Exec.PlanCacheHit = hit
 		}
-		if rerr == nil && res != nil && !res.Exec.Streamed {
-			// Materialized fallback: replay the collected rows through the
-			// cursor channel so consumers see one contract.
-			c.sink.publishColumns(res.Columns)
-			for _, r := range res.Rows {
-				if e := c.sink.emit(r); e != nil {
-					rerr = e
-					break
-				}
-			}
-			res.Rows = nil
-		}
 		c.res, c.err = res, rerr
-		close(c.sink.rows)
-		close(c.fin)
+		// Release the admission slot and lock hold before reporting the
+		// run finished, so a returned Close means they are free.
 		if done != nil {
 			done(rerr)
 		}
 		if unlock != nil {
 			unlock()
 		}
+		close(c.sink.rows)
+		close(c.fin)
 	}()
 	return c, nil
 }
@@ -423,9 +420,8 @@ func (c *Cursor) Next() bool {
 // Next call; the slice must not be retained across calls if mutated.
 func (c *Cursor) Record() []Datum { return c.cur }
 
-// Columns returns the result header, blocking until the run has
-// determined it (immediately for streamed plans; at completion for
-// materialized fallbacks that fail before projecting).
+// Columns returns the result header, blocking until the run has compiled
+// its pipeline (or failed before it could).
 func (c *Cursor) Columns() []string {
 	if c.colsOK {
 		return c.cols

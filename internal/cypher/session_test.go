@@ -52,9 +52,6 @@ func TestSessionStreamedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Exec.Streamed {
-		t.Fatalf("expected streamed execution, got:\n%s", res.Exec.String())
-	}
 	if res.Rows != nil {
 		t.Fatalf("streamed summary should not retain rows")
 	}
@@ -78,9 +75,9 @@ func TestSessionStreamSkipLimit(t *testing.T) {
 	}
 }
 
-// TestSessionMaterializedFallback runs an aggregate (outside the stream
-// plan shape) and expects identical cursor behaviour via the replay path.
-func TestSessionMaterializedFallback(t *testing.T) {
+// TestSessionAggregateRun runs an aggregate through a cursor: the
+// Aggregate operator's one row reaches the cursor like any other.
+func TestSessionAggregateRun(t *testing.T) {
 	ex := NewExecutor(sessionGraph(10))
 	s := ex.OpenSession()
 	defer s.Close()
@@ -96,9 +93,55 @@ func TestSessionMaterializedFallback(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].Val.Int() != 10 {
 		t.Fatalf("rows = %v", rows)
 	}
-	res, _ := c.Summary()
-	if res.Exec.Streamed {
-		t.Fatalf("aggregate should not take the streaming plan")
+}
+
+// TestSessionMultiClauseStreams: a MATCH … WITH … MATCH query streams — its
+// first record arrives while the scan is still running, and closing the
+// cursor then leaves the scan partial.
+func TestSessionMultiClauseStreams(t *testing.T) {
+	const n = 20000
+	ex := NewExecutor(chainGraph(n))
+	s := ex.OpenSession()
+	defer s.Close()
+
+	c, err := s.Run(context.Background(), `MATCH (p:Person) WITH p MATCH (p)-[:NEXT]->(q) RETURN q.idx AS i`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Next() {
+		t.Fatalf("no first record: %v", c.Err())
+	}
+	if got := c.Record()[0].Val.Int(); got != 1 {
+		t.Fatalf("first record = %d, want 1", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exec.RowsScanned == 0 || res.Exec.RowsScanned >= n {
+		t.Fatalf("RowsScanned = %d after Close, want a partial scan of the %d Persons", res.Exec.RowsScanned, n)
+	}
+}
+
+// TestSessionCloseKeepsWrites: closing a write's cursor before reading it
+// discards the rows, not the write.
+func TestSessionCloseKeepsWrites(t *testing.T) {
+	ex := NewExecutor(sessionGraph(0))
+	s := ex.OpenSession()
+	defer s.Close()
+
+	c, err := s.Run(context.Background(), `UNWIND range(1, 500) AS i CREATE (:W {i: i}) RETURN i`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ex.g.NodesWithLabel("W")); n != 500 {
+		t.Fatalf("W nodes after Close = %d, want 500", n)
 	}
 }
 
@@ -154,6 +197,35 @@ func TestSessionEarlyClose(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before+2 {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
 	}
+}
+
+// TestSessionCloseStopsUnwind: closing the cursor of a counting product
+// built by UNWIND alone cancels it promptly and frees its admission slot —
+// it emits nothing, so only UNWIND's own cancellation poll can stop it.
+func TestSessionCloseStopsUnwind(t *testing.T) {
+	gov := governor.New(governor.Config{MaxConcurrent: 1, MaxQueue: 0})
+	ex := NewExecutor(graph.New("empty"), WithAdmission(gov))
+	s := ex.OpenSession() // not closed on failure: that would block as Close does
+
+	c, err := s.Run(context.Background(), nestedUnwindCount, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close = %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still blocked 10s after cancelling a nested UNWIND count(*)")
+	}
+	if st := gov.Stats(); st.Active != 0 {
+		t.Fatalf("admission slot still held after Close: %+v", st)
+	}
+	s.Close()
 }
 
 // TestSessionAdmission wires a governor and checks Run admits
