@@ -591,52 +591,58 @@ func (c *CaseExpr) exprString() string {
 // aggregate function call (outside nested aggregates' arguments, which
 // Cypher forbids anyway).
 func ContainsAggregate(e Expr) bool {
+	found := false
+	visitOutsideAggregates(e, func(x Expr) {
+		if f, ok := x.(*FuncCall); ok && aggregateFuncs[f.Name] {
+			found = true
+		}
+	})
+	return found
+}
+
+// visitOutsideAggregates calls fn on e and, pre-order, on each of its
+// sub-expressions except those inside an aggregate call's arguments or a
+// pattern predicate's pattern. A nil expression is a no-op.
+func visitOutsideAggregates(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
 	switch x := e.(type) {
-	case nil:
-		return false
 	case *FuncCall:
 		if aggregateFuncs[x.Name] {
-			return true
+			return
 		}
 		for _, a := range x.Args {
-			if ContainsAggregate(a) {
-				return true
-			}
+			visitOutsideAggregates(a, fn)
 		}
-		return false
 	case *Binary:
-		return ContainsAggregate(x.L) || ContainsAggregate(x.R)
+		visitOutsideAggregates(x.L, fn)
+		visitOutsideAggregates(x.R, fn)
 	case *Not:
-		return ContainsAggregate(x.E)
+		visitOutsideAggregates(x.E, fn)
 	case *Neg:
-		return ContainsAggregate(x.E)
+		visitOutsideAggregates(x.E, fn)
 	case *IsNull:
-		return ContainsAggregate(x.E)
+		visitOutsideAggregates(x.E, fn)
 	case *HasLabels:
-		return ContainsAggregate(x.E)
+		visitOutsideAggregates(x.E, fn)
 	case *PropAccess:
-		return ContainsAggregate(x.Target)
+		visitOutsideAggregates(x.Target, fn)
 	case *Index:
-		return ContainsAggregate(x.Target) || ContainsAggregate(x.Sub)
+		visitOutsideAggregates(x.Target, fn)
+		visitOutsideAggregates(x.Sub, fn)
 	case *ListLit:
-		for _, e := range x.Elems {
-			if ContainsAggregate(e) {
-				return true
-			}
+		for _, el := range x.Elems {
+			visitOutsideAggregates(el, fn)
 		}
-		return false
 	case *CaseExpr:
-		if ContainsAggregate(x.Operand) || ContainsAggregate(x.Else) {
-			return true
-		}
+		visitOutsideAggregates(x.Operand, fn)
 		for i := range x.Whens {
-			if ContainsAggregate(x.Whens[i]) || ContainsAggregate(x.Thens[i]) {
-				return true
-			}
+			visitOutsideAggregates(x.Whens[i], fn)
+			visitOutsideAggregates(x.Thens[i], fn)
 		}
-		return false
-	default:
-		return false
+		visitOutsideAggregates(x.Else, fn)
 	}
 }
 

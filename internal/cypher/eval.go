@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"encoding/binary"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -60,16 +61,20 @@ func (d Datum) Scalar() graph.Value {
 	}
 }
 
-// Hashable returns a grouping key distinguishing entities from scalars.
-func (d Datum) Hashable() string {
+// appendHashable appends d's grouping key to dst: entities by ID, scalars
+// by sort key, each followed by its length in 4 bytes so that the keys of
+// several columns appended in turn never run together.
+func (d Datum) appendHashable(dst []byte) []byte {
+	start := len(dst)
 	switch {
 	case d.Node != nil:
-		return "N" + strconv.FormatInt(int64(d.Node.ID), 10)
+		dst = strconv.AppendInt(append(dst, 'N'), int64(d.Node.ID), 10)
 	case d.Edge != nil:
-		return "E" + strconv.FormatInt(int64(d.Edge.ID), 10)
+		dst = strconv.AppendInt(append(dst, 'E'), int64(d.Edge.ID), 10)
 	default:
-		return "V" + d.Val.Hashable()
+		dst = d.Val.AppendSortKey(append(dst, 'V'))
 	}
+	return binary.BigEndian.AppendUint32(dst, uint32(len(dst)-start))
 }
 
 // Display renders the datum for human-readable output.

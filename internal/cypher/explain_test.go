@@ -15,7 +15,7 @@ func TestExplainBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"NodeRangeSeek(u:User.id > 1) ~3 candidate(s)",
+		"NodeRangeSeek(u:User.id > 1) ~2 candidate(s)",
 		"Expand(POSTS, dir=out)",
 		"~3 edge(s) of type",
 		"Filter: (u.id > 1)",
@@ -74,7 +74,7 @@ func TestExplainSargs(t *testing.T) {
 		"MATCH (u:User {name: 'alice'}) RETURN u":                     "NodeIndexSeek(u:User.name = 'alice') ~1 candidate(s) [label+property index]",
 		"MATCH (u:User) WHERE u.name IN ['bob', 'carol'] RETURN u":    "NodeIndexSeek(u:User.name IN ['bob', 'carol']) ~2 candidate(s)",
 		"MATCH (u:User) WHERE u.id >= $lo RETURN u":                   "NodeRangeSeek(u:User.id >= $lo) [ordered index]",
-		"MATCH (u:User) WHERE u.name = $n AND u.id > 1 RETURN u":      "NodeRangeSeek(u:User.id > 1) ~3 candidate(s)", // widened to >= 1
+		"MATCH (u:User) WHERE u.name = $n AND u.id > 1 RETURN u":      "NodeRangeSeek(u:User.id > 1) ~2 candidate(s)", // numeric keys are exact: id 1 is excluded
 		"MATCH (a)-[r:FOLLOWS]->(b) WHERE r.since = 2019 RETURN a":    "EdgeIndexSeek(r:FOLLOWS.since = 2019) ~1 endpoint(s) [ordered edge index]",
 		"MATCH (a)-[r:FOLLOWS]->(b) WHERE r.since = $y RETURN a":      "EdgeIndexSeek(r:FOLLOWS.since = $y) [ordered edge index]",
 		"MATCH (u:User) WHERE u.name = null RETURN u":                 "NodeByLabelScan(u:User) ~3 candidate(s)",

@@ -398,31 +398,39 @@ func (c *evalCtx) evalFunc(f *FuncCall, row Row) (Datum, error) {
 var testFuncs map[string]func(d Datum) (Datum, error)
 
 // aggState accumulates one aggregate function over the rows of a group.
+// A plain count needs only fn and count, so an Aggregate's slab of states
+// stays small; every other aggregate keeps the rest in acc.
 type aggState struct {
-	fn       *FuncCall
-	bud      *budget // memory budget charged per retained element; nil ungoverned
-	count    int64
+	fn    *FuncCall
+	count int64
+	acc   *aggAcc
+}
+
+// aggAcc is the state of sum, avg, min, max, collect and DISTINCT.
+type aggAcc struct {
 	sumI     int64
 	sumF     float64
 	sawFloat bool
-	sawVal   bool
-	minV     graph.Value
-	maxV     graph.Value
+	best     graph.Value // min or max so far
 	items    []graph.Value
-	distinct map[string]bool
+	distinct map[string]bool // DISTINCT: sort keys seen
+	kb       []byte          // DISTINCT: the key being probed
 }
 
-func newAggState(fn *FuncCall) *aggState {
-	st := &aggState{fn: fn}
+func newAggState(fn *FuncCall) aggState {
+	st := aggState{fn: fn}
+	if fn.Name != "count" || fn.Distinct {
+		st.acc = &aggAcc{}
+	}
 	if fn.Distinct {
-		st.distinct = map[string]bool{}
+		st.acc.distinct = map[string]bool{}
 	}
 	return st
 }
 
-// add feeds one input row into the aggregate.
+// add feeds one input row into the aggregate. The memory budget (nil when
+// ungoverned) is charged per element collect or DISTINCT retains.
 func (st *aggState) add(c *evalCtx, row Row) error {
-	st.bud = c.bud()
 	if st.fn.Star { // count(*)
 		st.count++
 		return nil
@@ -437,53 +445,48 @@ func (st *aggState) add(c *evalCtx, row Row) error {
 	if d.IsNull() {
 		return nil // aggregates skip nulls
 	}
-	return st.addValue(d.Scalar())
-}
-
-// addValue feeds one already-evaluated non-null value into the aggregate.
-func (st *aggState) addValue(v graph.Value) error {
-	if st.distinct != nil {
-		h := v.Hashable()
-		if st.distinct[h] {
+	v, a := d.Scalar(), st.acc
+	if a == nil {
+		st.count++
+		return nil
+	}
+	if a.distinct != nil {
+		a.kb = v.AppendSortKey(a.kb[:0])
+		if a.distinct[string(a.kb)] {
 			return nil
 		}
-		st.distinct[h] = true
-		if err := st.bud.chargeMem(aggStateBytes); err != nil {
+		a.distinct[string(a.kb)] = true
+		if err := c.bud().chargeMem(aggStateBytes); err != nil {
 			return err
 		}
 	}
 	st.count++
-	st.sawVal = true
 	switch st.fn.Name {
 	case "collect":
-		if st.distinct == nil { // DISTINCT already charged its map entry
-			if err := st.bud.chargeMem(aggStateBytes); err != nil {
+		if a.distinct == nil { // DISTINCT already charged its map entry
+			if err := c.bud().chargeMem(aggStateBytes); err != nil {
 				return err
 			}
 		}
-		st.items = append(st.items, v)
+		a.items = append(a.items, v)
 	case "sum", "avg":
 		f, ok := v.AsFloat()
 		if !ok {
 			return execErrf("%s() requires numeric input, got %s", st.fn.Name, v.Kind())
 		}
-		st.sumF += f
+		a.sumF += f
 		if v.Kind() == graph.KindFloat {
-			st.sawFloat = true
+			a.sawFloat = true
 		} else {
-			st.sumI += v.Int()
+			a.sumI += v.Int()
 		}
-	case "min":
-		if st.minV.IsNull() {
-			st.minV = v
-		} else if cv, ok := v.Compare(st.minV); ok && cv < 0 {
-			st.minV = v
+	case "min", "max":
+		want := -1
+		if st.fn.Name == "max" {
+			want = 1
 		}
-	case "max":
-		if st.maxV.IsNull() {
-			st.maxV = v
-		} else if cv, ok := v.Compare(st.maxV); ok && cv > 0 {
-			st.maxV = v
+		if cv, ok := v.Compare(a.best); a.best.IsNull() || ok && cv*want > 0 {
+			a.best = v
 		}
 	}
 	return nil
@@ -491,70 +494,25 @@ func (st *aggState) addValue(v graph.Value) error {
 
 // result produces the aggregate's final value.
 func (st *aggState) result() Datum {
+	a := st.acc
 	switch st.fn.Name {
 	case "count":
 		return ValDatum(graph.NewInt(st.count))
 	case "collect":
-		return ValDatum(graph.NewList(st.items...))
+		return ValDatum(graph.NewList(a.items...))
 	case "sum":
-		if st.sawFloat {
-			return ValDatum(graph.NewFloat(st.sumF))
+		if a.sawFloat {
+			return ValDatum(graph.NewFloat(a.sumF))
 		}
-		return ValDatum(graph.NewInt(st.sumI))
+		return ValDatum(graph.NewInt(a.sumI))
 	case "avg":
-		if !st.sawVal {
+		if st.count == 0 {
 			return NullDatum
 		}
-		return ValDatum(graph.NewFloat(st.sumF / float64(st.count)))
-	case "min":
-		return ValDatum(st.minV)
-	case "max":
-		return ValDatum(st.maxV)
+		return ValDatum(graph.NewFloat(a.sumF / float64(st.count)))
+	case "min", "max":
+		return ValDatum(a.best)
 	default:
 		return NullDatum
-	}
-}
-
-// collectAggregates gathers the aggregate FuncCall nodes inside an
-// expression, in deterministic order.
-func collectAggregates(e Expr, out *[]*FuncCall) {
-	switch x := e.(type) {
-	case nil:
-		return
-	case *FuncCall:
-		if aggregateFuncs[x.Name] {
-			*out = append(*out, x)
-			return // nested aggregates are illegal; don't descend
-		}
-		for _, a := range x.Args {
-			collectAggregates(a, out)
-		}
-	case *Binary:
-		collectAggregates(x.L, out)
-		collectAggregates(x.R, out)
-	case *Not:
-		collectAggregates(x.E, out)
-	case *Neg:
-		collectAggregates(x.E, out)
-	case *IsNull:
-		collectAggregates(x.E, out)
-	case *HasLabels:
-		collectAggregates(x.E, out)
-	case *PropAccess:
-		collectAggregates(x.Target, out)
-	case *Index:
-		collectAggregates(x.Target, out)
-		collectAggregates(x.Sub, out)
-	case *ListLit:
-		for _, el := range x.Elems {
-			collectAggregates(el, out)
-		}
-	case *CaseExpr:
-		collectAggregates(x.Operand, out)
-		for i := range x.Whens {
-			collectAggregates(x.Whens[i], out)
-			collectAggregates(x.Thens[i], out)
-		}
-		collectAggregates(x.Else, out)
 	}
 }

@@ -15,9 +15,11 @@ package cypher
 // executor itself (see metamorphicArms), and the count arm checks the
 // Aggregate operator against the row stream: for every `MATCH … RETURN
 // <items>` query, `RETURN count(*)` over the same MATCH equals the number
-// of reference rows (see countQuery). Queries are checked from a worker
-// pool over shared executors, so the oracle also exercises the engine's
-// only parallelism: concurrent serial queries on one Executor.
+// of reference rows (see countQuery), and the grouping arms check grouped
+// counts and DISTINCT keys against it (see groupingQueries). Queries are
+// checked from a worker pool over shared executors, so the oracle also
+// exercises the engine's only parallelism: concurrent serial queries on
+// one Executor.
 //
 // Environment knobs (all optional):
 //
@@ -83,7 +85,7 @@ func renderRows(res *Result) []string {
 			if i > 0 {
 				b.WriteByte('|')
 			}
-			b.WriteString(d.Hashable())
+			b.Write(d.appendHashable(nil))
 		}
 		rows = append(rows, b.String())
 	}
@@ -229,6 +231,21 @@ func TestDifferentialOracle(t *testing.T) {
 							fmt.Sprintf("rewritten: %s\n%d reference rows, count %d, err=%v", text, len(refRows), n, err))
 					}
 				}
+				if sum, dc, dr, ok := groupingQueries(q); ok {
+					first := func(text string) int64 {
+						if res, err := ref.Run(text, nil); err == nil {
+							return res.FirstInt("n")
+						}
+						return -1
+					}
+					if n := first(sum); n != int64(len(refRows)) {
+						fail("group-sum", "aggregate divergence", fmt.Sprintf("rewritten: %s\n%d reference rows, sum of group counts %d", sum, len(refRows), n))
+					}
+					rows, errStr := oracleRun(ref, dr)
+					if n := first(dc); errStr != "" || n != int64(len(rows)) {
+						fail("group-distinct", "aggregate divergence", fmt.Sprintf("%s = %d\n%s: %d rows, err=%s", dc, n, dr, len(rows), errStr))
+					}
+				}
 			}
 			workers := runtime.GOMAXPROCS(0)
 			if workers > len(corpus) {
@@ -286,25 +303,64 @@ func withStar(q *Query) {
 // MATCH, items without aggregates, no DISTINCT, SKIP or LIMIT — into the
 // same MATCH with `RETURN count(*) AS n`.
 func countQuery(src string) (string, bool) {
-	q, err := Parse(src)
-	if err != nil || len(q.Clauses) != 2 {
+	q, ok := countShape(src)
+	if !ok {
 		return "", false
 	}
+	q.Clauses[1] = returnN(&FuncCall{Name: "count", Star: true})
+	return q.String(), true
+}
+
+// countShape parses src and reports whether it has countQuery's shape.
+func countShape(src string) (*Query, bool) {
+	q, err := Parse(src)
+	if err != nil || len(q.Clauses) != 2 {
+		return nil, false
+	}
 	if mc, ok := q.Clauses[0].(*MatchClause); !ok || mc.Optional {
-		return "", false
+		return nil, false
 	}
 	rc, ok := q.Clauses[1].(*ReturnClause)
 	if !ok || rc.Distinct || rc.Skip != nil || rc.Limit != nil {
-		return "", false
+		return nil, false
 	}
 	for _, it := range rc.Items {
 		if ContainsAggregate(it.Expr) {
-			return "", false
+			return nil, false
 		}
 	}
-	q.Clauses[1] = &ReturnClause{Projection: Projection{Items: []*ReturnItem{
-		{Expr: &FuncCall{Name: "count", Star: true}, Alias: "n"}}}}
-	return q.String(), true
+	return q, true
+}
+
+func returnN(e Expr) *ReturnClause {
+	return &ReturnClause{Projection: Projection{Items: []*ReturnItem{{Expr: e, Alias: "n"}}}}
+}
+
+// groupingQueries rewrites a countQuery-shaped query into the two grouping
+// arms, keyed on its first item k. Summing the group sizes of
+// `WITH k, count(*) AS c RETURN sum(c)` must give the reference row count;
+// `RETURN count(DISTINCT k)` must equal the number of rows of
+// `WITH DISTINCT k WHERE k IS NOT NULL RETURN k` (count skips nulls). So
+// the Aggregate and Distinct operators' keys are checked against the row
+// stream and against each other.
+func groupingQueries(src string) (sum, distinctCount, distinctRows string, ok bool) {
+	q, ok := countShape(src)
+	if !ok {
+		return "", "", "", false
+	}
+	match := q.Clauses[0]
+	k := q.Clauses[1].(*ReturnClause).Items[0].Expr
+	kv := &Variable{Name: "k"}
+	render := func(cls ...Clause) string { return (&Query{Clauses: append([]Clause{match}, cls...)}).String() }
+	sum = render(
+		&WithClause{Projection: Projection{Items: []*ReturnItem{{Expr: k, Alias: "k"}, {Expr: &FuncCall{Name: "count", Star: true}, Alias: "c"}}}},
+		returnN(&FuncCall{Name: "sum", Args: []Expr{&Variable{Name: "c"}}}))
+	distinctCount = render(returnN(&FuncCall{Name: "count", Distinct: true, Args: []Expr{k}}))
+	distinctRows = render(
+		&WithClause{Projection: Projection{Distinct: true, Items: []*ReturnItem{{Expr: k, Alias: "k"}}},
+			Where: &IsNull{E: kv, Negate: true}},
+		&ReturnClause{Projection: Projection{Items: []*ReturnItem{{Expr: kv, Alias: "k"}}}})
+	return sum, distinctCount, distinctRows, true
 }
 
 // rewriteQuery parses src, applies one rewrite and renders the result back

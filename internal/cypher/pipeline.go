@@ -35,7 +35,6 @@ package cypher
 import (
 	"errors"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/graphrules/graphrules/internal/graph"
@@ -437,45 +436,58 @@ func (p *pipeline) project(items []*ReturnItem, next vstage) stage {
 // aggregate is the Aggregate operator. Items without an aggregate are the
 // grouping keys; groups are emitted at flush in first-seen order. With no
 // grouping keys there is exactly one group, even over no input, and a row
-// costs only its aggregate updates.
+// costs only its aggregate updates. A row of an existing group allocates
+// nothing: its key is encoded into one reused buffer, and every group's
+// items and aggregate states live in slabs shared by all groups. A new
+// group costs its key string, plus a clone of its first row only when a
+// non-key item reads the row outside its aggregate calls.
 func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 	isKey := make([]bool, len(items))
-	keys := 0
+	keys, readsRow := 0, false
 	var calls []*FuncCall
 	for i, it := range items {
-		if ContainsAggregate(it.Expr) {
-			collectAggregates(it.Expr, &calls)
-		} else {
+		if !ContainsAggregate(it.Expr) {
 			isKey[i] = true
 			keys++
+			continue
 		}
+		visitOutsideAggregates(it.Expr, func(e Expr) {
+			switch x := e.(type) {
+			case *FuncCall:
+				if aggregateFuncs[x.Name] {
+					calls = append(calls, x)
+				}
+			case *Variable, *PatternPred:
+				readsRow = true
+			}
+		})
 	}
-	type group struct {
-		vals  []Datum // grouping-key values; aggregate items filled at flush
-		aggs  []*aggState
-		first Row // the group's first input row, for the items' non-aggregate parts
-	}
-	newGroup := func(first Row, vals []Datum) *group {
-		g := &group{vals: vals, first: first}
+	width, nc := len(items), len(calls)
+	var vals []Datum      // group g's items are vals[g*width:][:width]; aggregate items are filled at flush
+	var states []aggState // group g's aggregate states are states[g*nc:][:nc]
+	var firsts []Row      // group g's first input row, kept only when readsRow
+	groups := 0
+	index := map[string]int{}
+	scratch := make([]Datum, width)
+	var kb []byte
+	newGroup := func(first Row) int {
+		vals = append(vals, scratch...)
 		for _, fc := range calls {
-			g.aggs = append(g.aggs, newAggState(fc))
+			states = append(states, newAggState(fc))
 		}
-		return g
+		if readsRow {
+			firsts = append(firsts, first.clone())
+		}
+		groups++
+		return groups - 1
 	}
-	var groups []*group
-	index := map[string]*group{}
-	scratch := make([]Datum, len(items))
-	var kb strings.Builder
 	return stage{
 		push: func(r Row) error {
-			if keys == 0 && len(groups) == 0 {
-				groups = append(groups, newGroup(r.clone(), make([]Datum, len(items))))
-			}
-			var g *group
-			if keys == 0 {
-				g = groups[0]
-			} else {
-				kb.Reset()
+			g := 0
+			if keys == 0 && groups == 0 {
+				newGroup(r)
+			} else if keys > 0 {
+				kb = kb[:0]
 				for i, it := range items {
 					if !isKey[i] {
 						continue
@@ -485,50 +497,51 @@ func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 						return err
 					}
 					scratch[i] = d
-					kb.WriteString(d.Hashable())
-					kb.WriteByte('|')
+					kb = d.appendHashable(kb)
 				}
-				k := kb.String()
-				if g = index[k]; g == nil {
-					if err := p.keep(len(items)); err != nil {
+				var ok bool
+				if g, ok = index[string(kb)]; !ok {
+					if err := p.keep(width); err != nil {
 						return err
 					}
-					g = newGroup(r.clone(), append([]Datum(nil), scratch...))
-					index[k] = g
-					groups = append(groups, g)
+					g = newGroup(r)
+					index[string(kb)] = g
 				}
 			}
-			for _, st := range g.aggs {
-				if err := st.add(p.ctx, r); err != nil {
+			for i := g * nc; i < (g+1)*nc; i++ {
+				if err := states[i].add(p.ctx, r); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
 		flush: func() error {
-			if keys == 0 && len(groups) == 0 {
-				groups = append(groups, newGroup(Row{}, make([]Datum, len(items))))
+			if keys == 0 && groups == 0 {
+				newGroup(Row{})
 			}
-			out := make([][]Datum, len(groups))
-			for gi, g := range groups {
-				results := make(map[*FuncCall]Datum, len(g.aggs))
-				for _, st := range g.aggs {
-					results[st.fn] = st.result()
+			out := make([][]Datum, groups)
+			results := make(map[*FuncCall]Datum, nc)
+			p.ctx.aggResults = results
+			first := Row{}
+			var err error
+			for g := 0; g < groups && err == nil; g++ {
+				row := vals[g*width : (g+1)*width : (g+1)*width]
+				for i := g * nc; i < (g+1)*nc; i++ {
+					results[states[i].fn] = states[i].result()
 				}
-				p.ctx.aggResults = results
+				if readsRow {
+					first = firsts[g]
+				}
 				for i, it := range items {
-					if isKey[i] {
-						continue
+					if !isKey[i] && err == nil {
+						row[i], err = p.ctx.eval(it.Expr, first)
 					}
-					d, err := p.ctx.eval(it.Expr, g.first)
-					if err != nil {
-						p.ctx.aggResults = nil
-						return err
-					}
-					g.vals[i] = d
 				}
-				p.ctx.aggResults = nil
-				out[gi] = g.vals
+				out[g] = row
+			}
+			p.ctx.aggResults = nil
+			if err != nil {
+				return err
 			}
 			return emitAll(p, out, next.push, next.flush)
 		},
@@ -536,25 +549,23 @@ func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 }
 
 // distinct is the Distinct operator: it passes each row whose values it
-// has not seen before and drops repeats.
+// has not seen before and drops repeats. A repeat allocates nothing.
 func (p *pipeline) distinct(next vstage) vstage {
 	seen := map[string]bool{}
-	var kb strings.Builder
+	var kb []byte
 	return vstage{
 		push: func(vals []Datum) error {
-			kb.Reset()
+			kb = kb[:0]
 			for _, d := range vals {
-				kb.WriteString(d.Hashable())
-				kb.WriteByte('|')
+				kb = d.appendHashable(kb)
 			}
-			k := kb.String()
-			if seen[k] {
+			if seen[string(kb)] {
 				return nil
 			}
 			if err := p.keep(len(vals)); err != nil {
 				return err
 			}
-			seen[k] = true
+			seen[string(kb)] = true
 			return next.push(vals)
 		},
 		flush: next.flush,
@@ -562,44 +573,55 @@ func (p *pipeline) distinct(next vstage) vstage {
 }
 
 // sort is the Sort operator. ORDER BY sees the projection's output
-// columns: keys are evaluated on a row binding each column name.
+// columns: keys are evaluated on one reused row binding each column name.
+// A buffered row costs its concatenated sort keys, one string.
 func (p *pipeline) sort(orderBy []*SortItem, cols []string, next vstage) vstage {
 	type keyed struct {
 		vals []Datum
-		keys []string
+		keys string // the ORDER BY sort keys, concatenated
+		ends []int  // where each sort key in keys ends
 	}
 	var buf []keyed
+	var ends []int // the rows' ends, len(orderBy) per row
+	var kb []byte
+	r := make(Row, len(cols))
+	key := func(k keyed, j int) string {
+		if j == 0 {
+			return k.keys[:k.ends[0]]
+		}
+		return k.keys[k.ends[j-1]:k.ends[j]]
+	}
 	return vstage{
 		push: func(vals []Datum) error {
 			if err := p.keep(len(vals)); err != nil {
 				return err
 			}
-			r := make(Row, len(cols))
 			for i, c := range cols {
 				r[c] = vals[i]
 			}
-			keys := make([]string, len(orderBy))
-			for j, si := range orderBy {
+			kb = kb[:0]
+			for _, si := range orderBy {
 				d, err := p.ctx.eval(si.Expr, r)
 				if err != nil {
 					return err
 				}
-				keys[j] = d.Scalar().SortKey()
+				kb = d.Scalar().AppendSortKey(kb)
+				ends = append(ends, len(kb))
 			}
-			buf = append(buf, keyed{vals: vals, keys: keys})
+			buf = append(buf, keyed{vals: vals, keys: string(kb), ends: ends[len(ends)-len(orderBy):]})
 			return nil
 		},
 		flush: func() error {
 			sort.SliceStable(buf, func(a, b int) bool {
 				for j := range orderBy {
-					ka, kb := buf[a].keys[j], buf[b].keys[j]
-					if ka == kb {
+					x, y := key(buf[a], j), key(buf[b], j)
+					if x == y {
 						continue
 					}
 					if orderBy[j].Desc {
-						return ka > kb
+						return x > y
 					}
-					return ka < kb
+					return x < y
 				}
 				return false
 			})
@@ -641,9 +663,9 @@ func page(skip, limit int, next vstage) vstage {
 // bind turns WITH's projected rows back into binding rows for the clauses
 // after it, applying WITH ... WHERE (the Filter operator).
 func (p *pipeline) bind(cols []string, where Expr, next stage) vstage {
+	r := make(Row, len(cols)) // reused: a binding row pushed downstream is transient
 	return vstage{
 		push: func(vals []Datum) error {
-			r := make(Row, len(cols))
 			for i, c := range cols {
 				r[c] = vals[i]
 			}

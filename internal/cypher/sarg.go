@@ -20,9 +20,8 @@ import (
 // pushdown; a slot whose value is missing, null or not a bool, number or
 // string is not seekable and the anchor scans. Soundness needs each seek
 // to cover every value its predicate accepts: equality and IN probe sort
-// keys, which Equal values share (1 = 1.0), and numeric range bounds are
-// widened to inclusive because int64s beyond 2^53 collapse onto shared
-// float64 sort keys. String and bool sort keys are exact and stay strict.
+// keys, which exactly the Equal values share (1 = 1.0), and range bounds
+// compare sort keys, which order values as Compare does.
 
 // Sort-key kind-band fences (see graph.Value.SortKey): every bool key lies
 // in ["0:", "1:"), numerics in ["1:", "2:"), strings in ["2:", "3:").
@@ -294,11 +293,7 @@ func narrow(ranges []access, s *Sarg, v graph.Value) []access {
 // a seek interval, clamping the open side to the value's kind band.
 func boundsFor(op BinaryOp, v graph.Value) (lo, hi graph.Bound) {
 	bandLo, bandHi, _ := kindBand(v.Kind())
-	// exact = the sort key identifies exactly its value; numeric keys are
-	// lossy for huge ints, so strict bounds are widened (see the file
-	// comment).
-	exact := v.Kind() != graph.KindInt && v.Kind() != graph.KindFloat
-	at := func(strict bool) graph.Bound { return graph.ValueBound(v, !strict || !exact) }
+	at := func(strict bool) graph.Bound { return graph.ValueBound(v, !strict) }
 	switch op {
 	case OpGt:
 		return at(true), graph.RawBound(bandHi, false)

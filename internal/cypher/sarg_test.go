@@ -17,7 +17,7 @@ func rowStrings(res *Result) []string {
 			if i > 0 {
 				b.WriteByte('|')
 			}
-			b.WriteString(d.Hashable())
+			b.Write(d.appendHashable(nil))
 		}
 		out = append(out, b.String())
 	}

@@ -117,11 +117,11 @@ type Graph struct {
 	// labels the node carries (plus allPtrs), an edge mutation drops the
 	// ordered postings of the edge's types; see invalidateNodeLabelsLocked
 	// and invalidateEdgeLabelsLocked in propindex.go.
-	propIndex  map[string]map[string][]*Node // label\x00key -> value SortKey -> nodes
-	labelPtrs  map[string][]*Node            // label -> nodes, insertion order
-	allPtrs    []*Node                       // all nodes, ascending ID
-	ordNodeIdx map[string]*ordPosting[*Node] // label\x00key -> sorted posting
-	ordEdgeIdx map[string]*ordPosting[*Edge] // type\x00key -> sorted posting
+	propIndex  map[propKey]map[string][]*Node // (label, key) -> value SortKey -> nodes
+	labelPtrs  map[string][]*Node             // label -> nodes, insertion order
+	allPtrs    []*Node                        // all nodes, ascending ID
+	ordNodeIdx map[propKey]*ordPosting[*Node] // (label, key) -> sorted posting
+	ordEdgeIdx map[propKey]*ordPosting[*Edge] // (type, key) -> sorted posting
 
 	idxBuilds  atomic.Int64 // equality posting-map constructions (stats)
 	idxLookups atomic.Int64 // LabelPropNodes calls (stats)

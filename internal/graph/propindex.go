@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // This file holds the graph's lazily-built read caches: the label+property
 // value index consulted by the Cypher matcher's equality pushdown, and bulk
@@ -31,14 +28,13 @@ func (g *Graph) invalidateNodeLabelsLocked(labels []string) {
 	}
 	for _, l := range labels {
 		delete(g.labelPtrs, l)
-		prefix := l + "\x00"
 		for k := range g.propIndex {
-			if strings.HasPrefix(k, prefix) {
+			if k.label == l {
 				delete(g.propIndex, k)
 			}
 		}
 		for k := range g.ordNodeIdx {
-			if strings.HasPrefix(k, prefix) {
+			if k.label == l {
 				delete(g.ordNodeIdx, k)
 			}
 		}
@@ -52,32 +48,34 @@ func (g *Graph) invalidateEdgeLabelsLocked(labels []string) {
 		return
 	}
 	for _, l := range labels {
-		prefix := l + "\x00"
 		for k := range g.ordEdgeIdx {
-			if strings.HasPrefix(k, prefix) {
+			if k.label == l {
 				delete(g.ordEdgeIdx, k)
 			}
 		}
 	}
 }
 
-// propIndexKey joins a label and a property key into one posting-map key.
-// NUL never appears in identifiers, so the join is unambiguous.
-func propIndexKey(label, key string) string { return label + "\x00" + key }
+// propKey names one posting map: a node label or edge type, and a property
+// key. A struct key probes the map without building a joined string.
+type propKey struct{ label, key string }
 
 // LabelPropNodes returns the nodes carrying the label whose property key
 // equals v, in label-bucket (insertion) order. The posting map for the
 // (label, key) pair is built lazily on first use; subsequent lookups are a
-// map probe. The returned slice is a shared read-only snapshot.
+// map probe that allocates nothing. The returned slice is a shared
+// read-only snapshot.
 func (g *Graph) LabelPropNodes(label, key string, v Value) []*Node {
 	if v.IsNull() {
 		return nil // null never equals anything, including stored nulls
 	}
-	sk := v.SortKey()
+	var buf [32]byte
+	sk := v.AppendSortKey(buf[:0])
+	pk := propKey{label, key}
 	g.idxLookups.Add(1)
 	g.mu.RLock()
-	if idx := g.propIndex[propIndexKey(label, key)]; idx != nil {
-		ns := idx[sk]
+	if idx := g.propIndex[pk]; idx != nil {
+		ns := idx[string(sk)]
 		g.mu.RUnlock()
 		return ns
 	}
@@ -85,7 +83,7 @@ func (g *Graph) LabelPropNodes(label, key string, v Value) []*Node {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	idx := g.propIndex[propIndexKey(label, key)]
+	idx := g.propIndex[pk]
 	if idx == nil {
 		idx = make(map[string][]*Node)
 		for _, id := range g.nodesByLabel[label] {
@@ -101,12 +99,12 @@ func (g *Graph) LabelPropNodes(label, key string, v Value) []*Node {
 			idx[k] = append(idx[k], n)
 		}
 		if g.propIndex == nil {
-			g.propIndex = make(map[string]map[string][]*Node)
+			g.propIndex = make(map[propKey]map[string][]*Node)
 		}
-		g.propIndex[propIndexKey(label, key)] = idx
+		g.propIndex[pk] = idx
 		g.idxBuilds.Add(1)
 	}
-	return idx[sk]
+	return idx[string(sk)]
 }
 
 // LabelNodes returns the nodes carrying the label in insertion order as a

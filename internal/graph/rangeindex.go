@@ -138,7 +138,7 @@ func inBucketOrder[T any](ents []ordEntry[T]) []T {
 // ordNodePosting returns (building if needed) the ordered index for one
 // (label, key) pair.
 func (g *Graph) ordNodePosting(label, key string) *ordPosting[*Node] {
-	ik := propIndexKey(label, key)
+	ik := propKey{label, key}
 	g.mu.RLock()
 	if p := g.ordNodeIdx[ik]; p != nil {
 		g.mu.RUnlock()
@@ -166,7 +166,7 @@ func (g *Graph) ordNodePosting(label, key string) *ordPosting[*Node] {
 		return v.SortKey(), true
 	})
 	if g.ordNodeIdx == nil {
-		g.ordNodeIdx = make(map[string]*ordPosting[*Node])
+		g.ordNodeIdx = make(map[propKey]*ordPosting[*Node])
 	}
 	g.ordNodeIdx[ik] = p
 	g.ordBuilds.Add(1)
@@ -176,7 +176,7 @@ func (g *Graph) ordNodePosting(label, key string) *ordPosting[*Node] {
 // ordEdgePosting returns (building if needed) the ordered index for one
 // (type, key) pair.
 func (g *Graph) ordEdgePosting(typ, key string) *ordPosting[*Edge] {
-	ik := propIndexKey(typ, key)
+	ik := propKey{typ, key}
 	g.mu.RLock()
 	if p := g.ordEdgeIdx[ik]; p != nil {
 		g.mu.RUnlock()
@@ -204,7 +204,7 @@ func (g *Graph) ordEdgePosting(typ, key string) *ordPosting[*Edge] {
 		return v.SortKey(), true
 	})
 	if g.ordEdgeIdx == nil {
-		g.ordEdgeIdx = make(map[string]*ordPosting[*Edge])
+		g.ordEdgeIdx = make(map[propKey]*ordPosting[*Edge])
 	}
 	g.ordEdgeIdx[ik] = p
 	g.ordEdges.Add(1)

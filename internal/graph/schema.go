@@ -86,7 +86,8 @@ func ExtractSchema(g *Graph) *Schema {
 		NodeLabels: make(map[string]*LabelSchema),
 		EdgeLabels: make(map[string]*EdgeSchema),
 	}
-	distinct := make(map[string]map[string]bool) // "label\x00key" -> value set
+	distinct := make(map[propKey]map[string]bool) // (label, key) -> value sort keys
+	var kb []byte
 
 	observe := func(ls *LabelSchema, label string, props Props) {
 		ls.Count++
@@ -98,15 +99,15 @@ func ExtractSchema(g *Graph) *Schema {
 			}
 			ps.Count++
 			ps.Kinds[v.Kind()]++
-			dk := label + "\x00" + k
+			dk := propKey{label, k}
 			set := distinct[dk]
 			if set == nil {
 				set = make(map[string]bool)
 				distinct[dk] = set
 			}
-			h := v.Hashable()
-			if !set[h] {
-				set[h] = true
+			kb = v.AppendSortKey(kb[:0])
+			if !set[string(kb)] {
+				set[string(kb)] = true
 				ps.Distinct++
 				if len(ps.Samples) < maxSamples {
 					ps.Samples = append(ps.Samples, v.Display())

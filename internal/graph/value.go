@@ -8,6 +8,8 @@
 package graph
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -213,15 +215,27 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) Truthy() bool { return v.Bool() }
 
 // Equal reports strict equality between two values. Numeric values compare
-// across int/float. Null equals nothing, not even null (SQL/Cypher
-// three-valued logic collapses to false here; use IsNull for null checks).
+// exactly across int/float (1 = 1.0, but 2^53+1 != 2^53). Null equals
+// nothing, not even null (SQL/Cypher three-valued logic collapses to false
+// here; use IsNull for null checks); NaN equals nothing either.
 func (v Value) Equal(o Value) bool {
 	if v.kind == KindNull || o.kind == KindNull {
 		return false
 	}
+	if v.kind == KindInt && o.kind == KindInt {
+		return v.n == o.n
+	}
 	if fa, ok := v.AsFloat(); ok {
 		if fb, okb := o.AsFloat(); okb {
-			return fa == fb
+			switch {
+			case fa != fb: // rounding is monotone, so the values differ too
+				return false
+			case v.kind == KindInt:
+				return intFloatTie(v.Int(), fb) == 0
+			case o.kind == KindInt:
+				return intFloatTie(o.Int(), fa) == 0
+			}
+			return true
 		}
 		return false
 	}
@@ -254,21 +268,29 @@ func (v Value) Equal(o Value) bool {
 
 // Compare orders two values. It returns <0, 0, >0 like strings.Compare and
 // ok=false when the pair is incomparable (mixed non-numeric kinds or any
-// null).
+// null). Numbers compare exactly; a NaN compares equal to every number.
 func (v Value) Compare(o Value) (int, bool) {
 	if v.kind == KindNull || o.kind == KindNull {
 		return 0, false
 	}
+	if v.kind == KindInt && o.kind == KindInt {
+		return cmp.Compare(v.Int(), o.Int()), true
+	}
 	if fa, ok := v.AsFloat(); ok {
 		if fb, okb := o.AsFloat(); okb {
 			switch {
-			case fa < fb:
+			case fa < fb: // rounding is monotone, so the values compare alike
 				return -1, true
 			case fa > fb:
 				return 1, true
-			default:
+			case fa != fb: // a NaN
 				return 0, true
+			case v.kind == KindInt:
+				return intFloatTie(v.Int(), fb), true
+			case o.kind == KindInt:
+				return -intFloatTie(o.Int(), fa), true
 			}
+			return 0, true
 		}
 		return 0, false
 	}
@@ -285,44 +307,124 @@ func (v Value) Compare(o Value) (int, bool) {
 	}
 }
 
+// intFloatTie orders i against f when float64(i) == f: f is then an
+// integer, compared as one, except 2^63, which lies above every int64.
+func intFloatTie(i int64, f float64) int {
+	if f >= 0x1p63 {
+		return -1
+	}
+	return cmp.Compare(i, int64(f))
+}
+
 // SortKey returns a total-order key usable for deterministic ordering of
-// heterogeneous values (nulls last, then bools, numbers, strings, lists).
+// heterogeneous values (nulls last, then bools, numbers, strings, lists);
+// see AppendSortKey.
 func (v Value) SortKey() string {
+	if v.kind == KindString { // one allocation however long the string
+		return "2:" + v.Str()
+	}
+	var buf [32]byte
+	return string(v.AppendSortKey(buf[:0]))
+}
+
+// AppendSortKey appends v's sort key to dst and returns the extended slice.
+// Keys compare bytewise like Compare orders comparable values, and two
+// values share a key exactly when they are Equal, both null or both NaN —
+// so the key is also the grouping key (Cypher groups nulls together):
+//
+//	null   "\xff"
+//	bool   "0:0", "0:1"
+//	number "1:" + 16 hex digits of the float64 bits, sign-flipped so that
+//	       byte order is numeric order; an int64 that float64 cannot hold
+//	       exactly (|i| > 2^53) takes the key of the largest float64 below
+//	       it plus "+" and 4 hex digits of the (positive, < 1024) offset,
+//	       which sorts after that float and before the next one
+//	string "2:" + the bytes
+//	list   "3:" + the element keys joined by NUL, a NUL inside an element
+//	       key escaped as NUL 0x01 (no element key starts with 0x01)
+func (v Value) AppendSortKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\xff"
+		return append(dst, 0xff)
 	case KindBool:
 		if v.Bool() {
-			return "0:1"
+			return append(dst, "0:1"...)
 		}
-		return "0:0"
-	case KindInt, KindFloat:
-		f, _ := v.AsFloat()
-		// Encode so lexicographic order matches numeric order.
-		bits := math.Float64bits(f)
-		if f >= 0 {
-			bits |= 1 << 63
-		} else {
-			bits = ^bits
+		return append(dst, "0:0"...)
+	case KindInt:
+		i := v.Int()
+		f := float64(i)
+		if f >= 0x1p63 || int64(f) > i {
+			f = math.Nextafter(f, math.Inf(-1))
 		}
-		return fmt.Sprintf("1:%016x", bits)
+		dst = appendFloatKey(dst, f)
+		if off := uint64(i - int64(f)); off != 0 {
+			dst = appendHex(append(dst, '+'), off, 4)
+		}
+		return dst
+	case KindFloat:
+		return appendFloatKey(dst, v.Float())
 	case KindString:
-		return "2:" + v.Str()
+		return append(append(dst, "2:"...), v.Str()...)
 	case KindList:
-		parts := make([]string, int(v.n))
+		dst = append(dst, "3:"...)
 		for i, e := range v.List() {
-			parts[i] = e.SortKey()
+			if i > 0 {
+				dst = append(dst, 0)
+			}
+			start := len(dst)
+			dst = escapeNUL(e.AppendSortKey(dst), start)
 		}
-		return "3:" + strings.Join(parts, "\x00")
+		return dst
 	default:
-		return "9"
+		return append(dst, '9')
 	}
 }
 
-// Hashable returns a canonical string key for grouping/distinct semantics.
-// Unlike Equal, two nulls share the same hashable key (Cypher grouping
-// treats nulls as one group).
-func (v Value) Hashable() string { return v.SortKey() }
+// appendFloatKey appends the numeric sort key of f: "1:" and the float's
+// bits in hex, the sign bit flipped for non-negatives and every bit for
+// negatives so that byte order is numeric order. -0 shares +0's key and
+// every NaN shares one key.
+func appendFloatKey(dst []byte, f float64) []byte {
+	if f != f {
+		f = math.NaN()
+	}
+	bits := math.Float64bits(f)
+	if f >= 0 {
+		bits |= 1 << 63
+	} else {
+		bits = ^bits
+	}
+	return appendHex(append(dst, "1:"...), bits, 16)
+}
+
+// appendHex appends the low width hex digits of x, zero-padded.
+func appendHex(dst []byte, x uint64, width int) []byte {
+	const digits = "0123456789abcdef"
+	for s := 4 * (width - 1); s >= 0; s -= 4 {
+		dst = append(dst, digits[x>>s&0xf])
+	}
+	return dst
+}
+
+// escapeNUL rewrites every NUL in dst[start:] as NUL 0x01, in place.
+func escapeNUL(dst []byte, start int) []byte {
+	n := bytes.Count(dst[start:], []byte{0})
+	if n == 0 {
+		return dst
+	}
+	end := len(dst)
+	dst = append(dst, make([]byte, n)...)
+	for r, w := end-1, len(dst)-1; r >= start; r-- {
+		if dst[r] == 0 {
+			dst[w] = 0x01
+			w--
+		}
+		dst[w] = dst[r]
+		w--
+	}
+	return dst
+}
 
 // String renders the value in a Cypher-literal-like form.
 func (v Value) String() string {

@@ -189,7 +189,7 @@ func TestHashableDistinguishesKinds(t *testing.T) {
 	}
 	seen := map[string]Value{}
 	for _, v := range vals {
-		h := v.Hashable()
+		h := v.SortKey()
 		if prev, dup := seen[h]; dup && !(prev.IsNull() && v.IsNull()) {
 			// int 0 / float 0.0 intentionally collide (numeric equality);
 			// no such pair is in the list above.
@@ -197,7 +197,7 @@ func TestHashableDistinguishesKinds(t *testing.T) {
 		}
 		seen[h] = v
 	}
-	if NewInt(3).Hashable() != NewFloat(3).Hashable() {
+	if NewInt(3).SortKey() != NewFloat(3).SortKey() {
 		t.Error("3 and 3.0 must group together")
 	}
 }

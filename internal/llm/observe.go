@@ -219,6 +219,8 @@ func (o *observed) addNode(id int64, labels []string, propsText string) {
 }
 
 func observeProps(dst map[string]*propObs, propsText string) {
+	var buf [64]byte
+	kb := buf[:0]
 	for _, part := range splitTopLevel(propsText) {
 		i := strings.Index(part, ": ")
 		if i < 0 {
@@ -236,9 +238,9 @@ func observeProps(dst map[string]*propObs, propsText string) {
 		}
 		po.count++
 		po.kinds[val.Kind()]++
-		h := val.Hashable()
-		if !po.distinct[h] {
-			po.distinct[h] = true
+		kb = val.AppendSortKey(kb[:0])
+		if !po.distinct[string(kb)] {
+			po.distinct[string(kb)] = true
 			if len(po.samples) < maxPropSamples {
 				po.samples = append(po.samples, val)
 			}

@@ -74,3 +74,45 @@ func TestRandomRuleCrossCheckProperty(t *testing.T) {
 }
 
 func pickS(rng *rand.Rand, ss []string) string { return ss[rng.Intn(len(ss))] }
+
+// TestCrossCheckBigInts: ids beyond 2^53, as real Twitter ids are, stay
+// distinct on both evaluation paths. Agreement alone would not catch a
+// shared rounding, so the counts are also checked against values worked
+// out by hand: of the ids {2^53, 2^53+1, 2^53+1, 2^53 as a float, 2^53+3}
+// only 2^53+3 is unique (2^53 equals its float), and the timestamp edge
+// from 2^53+1 to 2^53 is ordered while 2^53 to 2^53+1 is not.
+func TestCrossCheckBigInts(t *testing.T) {
+	const p53 = int64(1) << 53
+	g := graph.New("bigint")
+	var ids []graph.ID
+	for _, v := range []graph.Value{graph.NewInt(p53), graph.NewInt(p53 + 1), graph.NewInt(p53 + 1), graph.NewFloat(float64(p53)), graph.NewInt(p53 + 3)} {
+		ids = append(ids, g.AddNode([]string{"Tweet"}, graph.Props{"id": v, "ts": v}).ID)
+	}
+	g.MustAddEdge(ids[1], ids[0], []string{"RETWEETS"}, graph.Props{"w": graph.NewInt(p53 + 1)})
+	g.MustAddEdge(ids[0], ids[1], []string{"RETWEETS"}, graph.Props{"w": graph.NewInt(p53)})
+	g.MustAddEdge(ids[0], ids[1], []string{"RETWEETS"}, graph.Props{"w": graph.NewInt(p53 + 1)})
+	cases := []struct {
+		r    rules.Rule
+		want rules.Counts
+	}{
+		{&rules.UniqueProperty{Label: "Tweet", Key: "id"}, rules.Counts{Support: 1, Body: 5, HeadTotal: 5}},
+		{&rules.ValueDomain{Label: "Tweet", Key: "id", Allowed: []graph.Value{graph.NewInt(p53 + 1)}},
+			rules.Counts{Support: 2, Body: 5, HeadTotal: 5}},
+		{&rules.TemporalOrder{EdgeType: "RETWEETS", FromLabel: "Tweet", ToLabel: "Tweet", Key: "ts"},
+			rules.Counts{Support: 1, Body: 3, HeadTotal: 3}},
+		{&rules.UniqueEdgeProp{EdgeType: "RETWEETS", FromLabel: "Tweet", ToLabel: "Tweet", Key: "w"},
+			rules.Counts{Support: 3, Body: 3, HeadTotal: 3}},
+	}
+	for _, c := range cases {
+		if err := CrossCheck(g, c.r); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.r.CountsNative(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: counts %+v, want %+v", c.r.DedupKey(), got, c.want)
+		}
+	}
+}

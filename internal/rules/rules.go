@@ -254,7 +254,8 @@ func (r *UniqueProperty) Queries() QuerySet {
 // CountsNative implements Rule.
 func (r *UniqueProperty) CountsNative(g *graph.Graph) (Counts, error) {
 	var c Counts
-	groups := map[string]int64{}
+	var groups groupCounter
+	var kb []byte
 	for _, id := range g.NodesWithLabel(r.Label) {
 		c.HeadTotal++
 		v := g.Node(id).Prop(r.Key)
@@ -262,14 +263,40 @@ func (r *UniqueProperty) CountsNative(g *graph.Graph) (Counts, error) {
 			continue
 		}
 		c.Body++
-		groups[v.Hashable()]++
+		kb = v.AppendSortKey(kb[:0])
+		groups.add(kb)
 	}
-	for _, n := range groups {
-		if n == 1 {
-			c.Support++
+	c.Support = groups.singletons()
+	return c, nil
+}
+
+// groupCounter counts rows per grouping key, as a uniqueness rule's
+// `WITH v, count(*) AS c` does; a repeated key allocates nothing.
+type groupCounter struct {
+	index  map[string]int
+	counts []int64
+}
+
+func (gc *groupCounter) add(key []byte) {
+	if i, ok := gc.index[string(key)]; ok {
+		gc.counts[i]++
+		return
+	}
+	if gc.index == nil {
+		gc.index = map[string]int{}
+	}
+	gc.index[string(key)] = len(gc.counts)
+	gc.counts = append(gc.counts, 1)
+}
+
+// singletons returns how many keys were added exactly once.
+func (gc *groupCounter) singletons() (n int64) {
+	for _, c := range gc.counts {
+		if c == 1 {
+			n++
 		}
 	}
-	return c, nil
+	return n
 }
 
 // ---------- ValueDomain ----------

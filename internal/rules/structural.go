@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/graphrules/graphrules/internal/graph"
 )
@@ -320,7 +321,8 @@ func (r *UniqueEdgeProp) Queries() QuerySet {
 // CountsNative implements Rule.
 func (r *UniqueEdgeProp) CountsNative(g *graph.Graph) (Counts, error) {
 	var c Counts
-	groups := map[string]int64{}
+	var groups groupCounter
+	var kb []byte
 	for _, id := range g.EdgesWithType(r.EdgeType) {
 		e := g.Edge(id)
 		from, to := g.Node(e.From), g.Node(e.To)
@@ -333,13 +335,12 @@ func (r *UniqueEdgeProp) CountsNative(g *graph.Graph) (Counts, error) {
 			continue
 		}
 		c.Body++
-		groups[fmt.Sprintf("%d|%d|%s", e.From, e.To, v.Hashable())]++
+		kb = strconv.AppendInt(kb[:0], int64(e.From), 10)
+		kb = strconv.AppendInt(append(kb, '|'), int64(e.To), 10)
+		kb = v.AppendSortKey(append(kb, '|'))
+		groups.add(kb)
 	}
-	for _, n := range groups {
-		if n == 1 {
-			c.Support++
-		}
-	}
+	c.Support = groups.singletons()
 	return c, nil
 }
 
