@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/graphrules/graphrules/internal/graph"
 )
@@ -11,6 +12,9 @@ import (
 // Query is a parsed Cypher statement: an ordered list of clauses.
 type Query struct {
 	Clauses []Clause
+
+	resolved sync.Once // slots.go: numbers the variables at first execution
+	width    int       // slots a binding row of this query has
 }
 
 // String renders the query back to Cypher text.
@@ -63,6 +67,9 @@ type NodePattern struct {
 	// token. Both are zero for programmatically built patterns.
 	Span       Span
 	LabelSpans []Span
+
+	slot  int        // Var's binding-row slot (slots.go)
+	props []propExpr // Props in key order (slots.go)
 }
 
 func (n *NodePattern) String() string {
@@ -97,6 +104,9 @@ type RelPattern struct {
 	// ('<-[...]-' / '-[...]->'); TypeSpans[i] covers Types[i]'s name token.
 	Span      Span
 	TypeSpans []Span
+
+	slot  int        // Var's binding-row slot (slots.go)
+	props []propExpr // Props in key order (slots.go)
 }
 
 // IsVarLength reports whether the pattern is a variable-length relationship.
@@ -187,7 +197,8 @@ type MatchClause struct {
 	Patterns []*PatternPart
 	Where    Expr
 
-	sargs []Sarg // index-eligible predicates, classified once by the parser
+	sargs []Sarg          // index-eligible predicates, classified once by the parser
+	bound map[string]bool // variables bound before the clause (slots.go)
 }
 
 func (m *MatchClause) clauseString() string {
@@ -242,6 +253,12 @@ type Projection struct {
 	OrderBy  []*SortItem
 	Skip     Expr
 	Limit    Expr
+
+	// Resolved at first execution (slots.go): Items after the star's
+	// variables, the output column names and their slots.
+	items    []*ReturnItem
+	cols     []string
+	colSlots []int
 }
 
 func (p *Projection) projString() string {
@@ -304,6 +321,8 @@ func (r *ReturnClause) clauseString() string { return "RETURN " + r.projString()
 type UnwindClause struct {
 	Expr  Expr
 	Alias string
+
+	slot int // Alias's binding-row slot (slots.go)
 }
 
 func (u *UnwindClause) clauseString() string {
@@ -330,6 +349,8 @@ type SetItem struct {
 	Key    string   // property key; empty for label set
 	Labels []string // labels to add; empty for property set
 	Value  Expr
+
+	slot int // Target's binding-row slot (slots.go)
 }
 
 func (si *SetItem) String() string {
@@ -400,6 +421,8 @@ func (l *Literal) exprString() string {
 type Variable struct {
 	Name string
 	Span Span
+
+	slot int // Name's binding-row slot (slots.go)
 }
 
 func (v *Variable) exprString() string { return quoteIdent(v.Name) }

@@ -89,16 +89,12 @@ func (d Datum) Display() string {
 	}
 }
 
-// Row is one binding table row: variable name to datum.
-type Row map[string]Datum
+// Row is one binding table row: the datum of each of its query's variables,
+// indexed by the slot resolve gave the variable's name (slots.go). A slot
+// nothing binds holds unbound.
+type Row []Datum
 
-func (r Row) clone() Row {
-	out := make(Row, len(r)+2)
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
-}
+func (r Row) clone() Row { return append(Row(nil), r...) }
 
 // evalCtx carries everything expression evaluation needs.
 type evalCtx struct {
@@ -135,11 +131,10 @@ func (c *evalCtx) eval(e Expr, row Row) (Datum, error) {
 	case *Literal:
 		return ValDatum(x.Value), nil
 	case *Variable:
-		d, ok := row[x.Name]
-		if !ok {
-			return NullDatum, execErrf("variable `%s` not defined", x.Name)
+		if d := row[x.slot]; d.bound() {
+			return d, nil
 		}
-		return d, nil
+		return NullDatum, execErrf("variable `%s` not defined", x.Name)
 	case *Parameter:
 		if c.params == nil {
 			return NullDatum, execErrf("parameter $%s supplied to a query without parameters", x.Name)
@@ -420,7 +415,13 @@ func (c *evalCtx) evalBinary(b *Binary, row Row) (Datum, error) {
 		}
 		cv, ok := l.Compare(r)
 		if !ok {
-			// Incomparable kinds yield null (Neo4j semantics).
+			// Incomparable kinds yield null (Neo4j semantics); two numbers
+			// are incomparable only when one is NaN, and then it is false.
+			_, ln := l.AsFloat()
+			_, rn := r.AsFloat()
+			if ln && rn {
+				return ValDatum(graph.NewBool(false)), nil
+			}
 			return NullDatum, nil
 		}
 		var res bool

@@ -499,28 +499,6 @@ func clauseName(c Clause) string {
 
 // ---------- MATCH ----------
 
-// patternVars returns the variable names introduced by a pattern list, in
-// first-appearance order.
-func patternVars(parts []*PatternPart) []string {
-	var names []string
-	seen := map[string]bool{}
-	add := func(v string) {
-		if v != "" && !seen[v] {
-			seen[v] = true
-			names = append(names, v)
-		}
-	}
-	for _, p := range parts {
-		for i, n := range p.Nodes {
-			add(n.Var)
-			if i < len(p.Rels) {
-				add(p.Rels[i].Var)
-			}
-		}
-	}
-	return names
-}
-
 // matcher performs backtracking pattern matching against the graph.
 type matcher struct {
 	g     *graph.Graph
@@ -555,8 +533,9 @@ func (m *matcher) pollCtx() error {
 // relationship-uniqueness scope, Cypher's per-MATCH semantics) and invokes
 // cb for each complete assignment.
 //
-// Bindings are made in-place on the working row and undone on backtrack, so
-// cb receives a transient view: it must clone the row if it retains it.
+// Bindings are stored into the working row's slots and restored to unbound
+// on backtrack, so cb receives a transient view: it must clone the row if
+// it retains it.
 func (m *matcher) matchAll(parts []*PatternPart, row Row, cb func(Row) error) error {
 	used := map[graph.ID]bool{}
 	var rec func(i int, r Row) error
@@ -612,7 +591,7 @@ func (m *matcher) bindNode(part *PatternPart, i int, row Row, used map[graph.ID]
 
 	// Bound variable: check constraints and continue.
 	if np.Var != "" {
-		if d, ok := row[np.Var]; ok {
+		if d := row[np.slot]; d.bound() {
 			if d.Node == nil {
 				if d.IsNull() {
 					return nil // null from OPTIONAL MATCH never re-matches
@@ -642,11 +621,11 @@ func (m *matcher) bindNode(part *PatternPart, i int, row Row, used map[graph.ID]
 			continue
 		}
 		if np.Var != "" {
-			row[np.Var] = NodeDatum(n)
+			row[np.slot] = NodeDatum(n)
 		}
 		err = proceed(n, row)
 		if np.Var != "" {
-			delete(row, np.Var)
+			row[np.slot] = unbound
 		}
 		if err != nil {
 			return err
@@ -757,12 +736,12 @@ func (m *matcher) nodeSatisfies(np *NodePattern, n *graph.Node, row Row) (bool, 
 			return false, nil
 		}
 	}
-	for k, e := range np.Props {
-		want, err := m.ctx.eval(e, row)
+	for _, p := range np.props {
+		want, err := m.ctx.eval(p.e, row)
 		if err != nil {
 			return false, err
 		}
-		if !n.Prop(k).Equal(want.Scalar()) {
+		if !n.Prop(p.key).Equal(want.Scalar()) {
 			return false, nil
 		}
 	}
@@ -782,12 +761,12 @@ func (m *matcher) edgeSatisfies(rp *RelPattern, e *graph.Edge, row Row) (bool, e
 			return false, nil
 		}
 	}
-	for k, ex := range rp.Props {
-		want, err := m.ctx.eval(ex, row)
+	for _, p := range rp.props {
+		want, err := m.ctx.eval(p.e, row)
 		if err != nil {
 			return false, err
 		}
-		if !e.Prop(k).Equal(want.Scalar()) {
+		if !e.Prop(p.key).Equal(want.Scalar()) {
 			return false, nil
 		}
 	}
@@ -804,7 +783,7 @@ func (m *matcher) expandRel(part *PatternPart, i int, n *graph.Node, row Row, us
 
 	// Pre-bound relationship variable: verify incidence.
 	if rp.Var != "" {
-		if d, ok := row[rp.Var]; ok {
+		if d := row[rp.slot]; d.bound() {
 			if d.IsNull() {
 				return nil
 			}
@@ -887,8 +866,8 @@ func (m *matcher) followEdge(part *PatternPart, i int, n *graph.Node, e *graph.E
 		return nil
 	}
 	if rp.Var != "" && !preBound {
-		row[rp.Var] = EdgeDatum(e)
-		defer delete(row, rp.Var)
+		row[rp.slot] = EdgeDatum(e)
+		defer func() { row[rp.slot] = unbound }()
 	}
 	used[e.ID] = true
 	defer delete(used, e.ID)
@@ -900,7 +879,7 @@ func (m *matcher) followEdge(part *PatternPart, i int, n *graph.Node, e *graph.E
 		return nil
 	}
 	if np.Var != "" {
-		if d, bound := row[np.Var]; bound {
+		if d := row[np.slot]; d.bound() {
 			if d.Node == nil || d.Node.ID != far {
 				return nil
 			}
@@ -916,8 +895,8 @@ func (m *matcher) followEdge(part *PatternPart, i int, n *graph.Node, e *graph.E
 		return err
 	}
 	if np.Var != "" {
-		row[np.Var] = NodeDatum(farNode)
-		defer delete(row, np.Var)
+		row[np.slot] = NodeDatum(farNode)
+		defer func() { row[np.slot] = unbound }()
 	}
 	return m.afterNode(part, i+1, farNode, row, used, cb)
 }
@@ -942,13 +921,13 @@ func (m *matcher) expandVarLength(part *PatternPart, i int, start *graph.Node, r
 			return err
 		}
 		if np.Var != "" {
-			if d, bound := r[np.Var]; bound {
+			if d := r[np.slot]; d.bound() {
 				if d.Node == nil || d.Node.ID != at.ID {
 					return nil
 				}
 			} else {
-				r[np.Var] = NodeDatum(at)
-				defer delete(r, np.Var)
+				r[np.slot] = NodeDatum(at)
+				defer func() { r[np.slot] = unbound }()
 			}
 		}
 		if rp.Var != "" {
@@ -957,15 +936,9 @@ func (m *matcher) expandVarLength(part *PatternPart, i int, start *graph.Node, r
 				ids[k] = graph.NewInt(int64(id))
 			}
 			// The path variable may shadow an outer binding; restore it.
-			prev, had := r[rp.Var]
-			r[rp.Var] = ValDatum(graph.NewList(ids...))
-			defer func() {
-				if had {
-					r[rp.Var] = prev
-				} else {
-					delete(r, rp.Var)
-				}
-			}()
+			prev := r[rp.slot]
+			r[rp.slot] = ValDatum(graph.NewList(ids...))
+			defer func() { r[rp.slot] = prev }()
 		}
 		return m.afterNode(part, i+1, at, r, used, cb)
 	}
@@ -1048,7 +1021,7 @@ func (ex *Executor) execCreate(ctx *evalCtx, cl *CreateClause, in []Row, st *Sta
 func (ex *Executor) createPart(ctx *evalCtx, part *PatternPart, r Row, st *Stats) error {
 	getOrCreateNode := func(np *NodePattern) (*graph.Node, error) {
 		if np.Var != "" {
-			if d, ok := r[np.Var]; ok {
+			if d := r[np.slot]; d.bound() {
 				if d.Node == nil {
 					return nil, execErrf("CREATE: variable `%s` is not a node", np.Var)
 				}
@@ -1071,7 +1044,7 @@ func (ex *Executor) createPart(ctx *evalCtx, part *PatternPart, r Row, st *Stats
 		n := ex.g.AddNode(np.Labels, props)
 		st.NodesCreated++
 		if np.Var != "" {
-			r[np.Var] = NodeDatum(n)
+			r[np.slot] = NodeDatum(n)
 		}
 		return n, nil
 	}
@@ -1114,7 +1087,7 @@ func (ex *Executor) createPart(ctx *evalCtx, part *PatternPart, r Row, st *Stats
 		}
 		st.EdgesCreated++
 		if rp.Var != "" {
-			r[rp.Var] = EdgeDatum(edge)
+			r[rp.slot] = EdgeDatum(edge)
 		}
 		prev = next
 	}
@@ -1128,6 +1101,7 @@ func (ex *Executor) createPart(ctx *evalCtx, part *PatternPart, r Row, st *Stats
 func refreshGraphBindings(g *graph.Graph, r Row) {
 	for k, d := range r {
 		switch {
+		case !d.bound(): // the sentinel is not a graph node
 		case d.Node != nil:
 			if fresh := g.Node(d.Node.ID); fresh != nil && fresh != d.Node {
 				r[k] = NodeDatum(fresh)
@@ -1146,8 +1120,8 @@ func (ex *Executor) execSet(ctx *evalCtx, cl *SetClause, in []Row, st *Stats) ([
 			// Several rows may bind the same entity; an earlier row's write
 			// superseded the struct this row captured during MATCH.
 			refreshGraphBindings(ex.g, r)
-			d, ok := r[item.Target]
-			if !ok {
+			d := r[item.slot]
+			if !d.bound() {
 				return nil, execErrf("SET: variable `%s` not defined", item.Target)
 			}
 			if d.IsNull() {

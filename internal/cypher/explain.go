@@ -22,8 +22,7 @@ func (ex *Executor) Explain(src string) (string, error) {
 		fmt.Fprintf(&b, format, args...)
 		b.WriteByte('\n')
 	}
-	bound := map[string]bool{}
-
+	q.resolve() // each MATCH's bound variables (slots.go)
 	for _, cl := range q.Clauses {
 		switch c := cl.(type) {
 		case *MatchClause:
@@ -34,6 +33,7 @@ func (ex *Executor) Explain(src string) (string, error) {
 			line("%s (%d pattern(s))", kw, len(c.Patterns))
 			depth++
 			accs := ex.bindSargs(c.sargs, nil, true)
+			bound := copyBound(c.bound)
 			mp := ex.planMatch(ex.g, c.Patterns, bound, accs)
 			if mp.reordered {
 				line("CostOrder: order=%v reversed=%v est=%v [smallest anchor first]", mp.order, mp.reversed, mp.est)
@@ -47,7 +47,6 @@ func (ex *Executor) Explain(src string) (string, error) {
 			depth--
 		case *WithClause:
 			line("Project (WITH): %s", projectionSummary(&c.Projection))
-			rebind(bound, &c.Projection)
 			if c.Where != nil {
 				line("Filter: %s", c.Where.exprString())
 			}
@@ -55,12 +54,8 @@ func (ex *Executor) Explain(src string) (string, error) {
 			line("Project (RETURN): %s", projectionSummary(&c.Projection))
 		case *UnwindClause:
 			line("Unwind %s AS %s", c.Expr.exprString(), c.Alias)
-			bound[c.Alias] = true
 		case *CreateClause:
 			line("Create (%d pattern(s))", len(c.Patterns))
-			for _, part := range c.Patterns {
-				markPatternVars(part, bound)
-			}
 		case *SetClause:
 			line("Set (%d item(s))", len(c.Items))
 		case *DeleteClause:
@@ -104,7 +99,7 @@ func (ex *Executor) explainPart(part *PatternPart, bound map[string]bool, accs [
 	} else {
 		line("AllNodesScan(%s) ~%d candidate(s)", varOrAnon(n0.Var), ex.g.NodeCount())
 	}
-	markPatternVars(part, bound)
+	addIntroduced(part, bound)
 	for i, rel := range part.Rels {
 		dir := "both"
 		switch rel.Direction {
@@ -158,19 +153,6 @@ func nodeSummary(n *NodePattern) string {
 	return s + ")"
 }
 
-func markPatternVars(part *PatternPart, bound map[string]bool) {
-	for _, n := range part.Nodes {
-		if n.Var != "" {
-			bound[n.Var] = true
-		}
-	}
-	for _, r := range part.Rels {
-		if r.Var != "" {
-			bound[r.Var] = true
-		}
-	}
-}
-
 func projectionSummary(p *Projection) string {
 	var parts []string
 	if p.Distinct {
@@ -197,15 +179,4 @@ func projectionSummary(p *Projection) string {
 		s += " [paginate]"
 	}
 	return s
-}
-
-func rebind(bound map[string]bool, p *Projection) {
-	if !p.Star {
-		for k := range bound {
-			delete(bound, k)
-		}
-	}
-	for _, it := range p.Items {
-		bound[it.Name()] = true
-	}
 }

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"cmp"
 	"strconv"
 	"strings"
 
@@ -485,11 +486,23 @@ func (st *aggState) add(c *evalCtx, row Row) error {
 		if st.fn.Name == "max" {
 			want = 1
 		}
-		if cv, ok := v.Compare(a.best); a.best.IsNull() || ok && cv*want > 0 {
+		if cv, ok := orderCompare(v, a.best); a.best.IsNull() || ok && cv*want > 0 {
 			a.best = v
 		}
 	}
 	return nil
+}
+
+// orderCompare is Compare with NaN above every other number, as Cypher's
+// orderability has it, so min and max over a NaN do not depend on the
+// input order.
+func orderCompare(a, b graph.Value) (int, bool) {
+	fa, na := a.AsFloat()
+	fb, nb := b.AsFloat()
+	if na && nb && (fa != fa || fb != fb) {
+		return -cmp.Compare(fa, fb), true // cmp.Compare puts NaN below
+	}
+	return a.Compare(b)
 }
 
 // result produces the aggregate's final value.

@@ -175,8 +175,8 @@ func TestUnderBudgetIdentity(t *testing.T) {
 		WithMemoryBudget(1<<30),
 		WithQueryDeadline(time.Hour))
 	for _, q := range queries {
-		want, wantErr := oracleRun(plain, q)
-		got, gotErr := oracleRun(governed, q)
+		want, wantErr := oracleRun(plain, q, nil)
+		got, gotErr := oracleRun(governed, q, nil)
 		if wantErr != gotErr {
 			t.Fatalf("%q: err %q vs %q", q, wantErr, gotErr)
 		}
@@ -325,9 +325,9 @@ func TestBudgetedOracle(t *testing.T) {
 	}
 
 	for _, q := range corpus {
-		refRows, refErr := oracleRun(ref, q)
+		refRows, refErr := oracleRun(ref, q, nil)
 		for _, cfg := range grid {
-			gotRows, gotErr := oracleRun(generous(cfg), q)
+			gotRows, gotErr := oracleRun(generous(cfg), q, nil)
 			if refErr != gotErr {
 				t.Fatalf("generous %s: error divergence on %q: ref=%q got=%q", cfg.name, q, refErr, gotErr)
 			}

@@ -57,13 +57,15 @@ func operatorPipeline(g *graph.Graph) *pipeline {
 	return &pipeline{ctx: m.ctx, m: m}
 }
 
-// returnItems parses `RETURN <items>` into its projection items.
+// returnItems parses `MATCH (x) RETURN <items>` into its projection items,
+// resolved so that x is slot 0.
 func returnItems(t *testing.T, items string) []*ReturnItem {
 	t.Helper()
 	q, err := Parse("MATCH (x) RETURN " + items)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.resolve()
 	return q.Clauses[1].(*ReturnClause).Items
 }
 
@@ -78,7 +80,7 @@ func TestAggregateAllocs(t *testing.T) {
 	rows := make([]Row, n)
 	for i := range rows {
 		props := graph.Props{"k": graph.NewString(fmt.Sprintf("tweet text number %d", i)), "id": graph.NewInt(int64(i) << 40)}
-		rows[i] = Row{"x": NodeDatum(g.AddNode([]string{"T"}, props))}
+		rows[i] = Row{NodeDatum(g.AddNode([]string{"T"}, props))} // x's slot
 	}
 	for _, items := range []string{"x.k AS v, count(*) AS c", "x.id AS v, count(*) AS c", "x.k AS v, x.id AS w, count(*) AS c"} {
 		p := operatorPipeline(g)

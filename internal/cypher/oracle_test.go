@@ -16,7 +16,10 @@ package cypher
 // Aggregate operator against the row stream: for every `MATCH … RETURN
 // <items>` query, `RETURN count(*)` over the same MATCH equals the number
 // of reference rows (see countQuery), and the grouping arms check grouped
-// counts and DISTINCT keys against it (see groupingQueries). Queries are
+// counts and DISTINCT keys against it (see groupingQueries). The NaN arm
+// reruns the grid with every numeric literal of the MATCH clauses turned
+// into a NaN parameter (see nanParams), so a seek on a NaN bound must
+// agree with the scan. Queries are
 // checked from a worker pool over shared executors, so the oracle also
 // exercises the engine's only parallelism: concurrent serial queries on
 // one Executor.
@@ -30,6 +33,7 @@ package cypher
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -68,8 +72,8 @@ func newOracleExecutor(g *graph.Graph, cfg oracleConfig) *Executor {
 
 // oracleRun executes one query and renders every result row to a canonical
 // string (column order is part of the rendering, row order is preserved).
-func oracleRun(ex *Executor, src string) (rows []string, errStr string) {
-	res, err := ex.Run(src, nil)
+func oracleRun(ex *Executor, src string, params map[string]graph.Value) (rows []string, errStr string) {
+	res, err := ex.Run(src, params)
 	if err != nil {
 		return nil, err.Error()
 	}
@@ -157,9 +161,9 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 
 			ref := newOracleExecutor(g, oracleRef)
-			grid := make([]*Executor, len(oracleGrid))
+			gridEx := make([]*Executor, len(oracleGrid))
 			for i, cfg := range oracleGrid {
-				grid[i] = newOracleExecutor(g, cfg)
+				gridEx[i] = newOracleExecutor(g, cfg)
 			}
 
 			// Queries are independent and every executor is safe for
@@ -178,31 +182,46 @@ func TestDifferentialOracle(t *testing.T) {
 					t.Errorf("%s under %s (reproduce with GRAPHRULES_ORACLE_SEED=%d):\nquery: %s\n%s",
 						kind, cfg, seed, q, detail)
 				}
-				refRows, refErr := oracleRun(ref, q)
-				refSorted := sortedCopy(refRows)
-				for i, cfg := range oracleGrid {
-					gotRows, gotErr := oracleRun(grid[i], q)
-					if (refErr != "") != (gotErr != "") {
-						fail(cfg.name, "error divergence", fmt.Sprintf("reference err=%q, %s err=%q", refErr, cfg.name, gotErr))
-						return
+				// grid runs text on the reference and on every grid
+				// configuration; ok is false once it reported a divergence.
+				grid := func(text string, params map[string]graph.Value) (refRows []string, refErr string, ok bool) {
+					at := ""
+					if text != q {
+						at = fmt.Sprintf("rewritten: %s params=%v\n", text, params)
 					}
-					if refErr != "" {
-						continue // both failed; nothing further to compare
-					}
-					if !cfg.reorder {
-						// Same written part order: row order must be
-						// byte-identical to the reference.
-						if !rowsEqual(refRows, gotRows) {
-							fail(cfg.name, "row-order divergence", fmt.Sprintf("reference order %v\n%s order %v", refRows, cfg.name, gotRows))
-							return
+					refRows, refErr = oracleRun(ref, text, params)
+					refSorted := sortedCopy(refRows)
+					for i, cfg := range oracleGrid {
+						gotRows, gotErr := oracleRun(gridEx[i], text, params)
+						if (refErr != "") != (gotErr != "") {
+							fail(cfg.name, "error divergence", at+fmt.Sprintf("reference err=%q, %s err=%q", refErr, cfg.name, gotErr))
+							return nil, "", false
 						}
-					} else if !rowsEqual(refSorted, sortedCopy(gotRows)) {
-						fail(cfg.name, "result-set divergence", fmt.Sprintf("reference sorted %v\n%s sorted %v", refSorted, cfg.name, sortedCopy(gotRows)))
+						if refErr != "" {
+							continue // both failed; nothing further to compare
+						}
+						if !cfg.reorder {
+							// Same written part order: row order must be
+							// byte-identical to the reference.
+							if !rowsEqual(refRows, gotRows) {
+								fail(cfg.name, "row-order divergence", at+fmt.Sprintf("reference order %v\n%s order %v", refRows, cfg.name, gotRows))
+								return nil, "", false
+							}
+						} else if !rowsEqual(refSorted, sortedCopy(gotRows)) {
+							fail(cfg.name, "result-set divergence", at+fmt.Sprintf("reference sorted %v\n%s sorted %v", refSorted, cfg.name, sortedCopy(gotRows)))
+							return nil, "", false
+						}
+					}
+					return refRows, refErr, true
+				}
+				refRows, refErr, ok := grid(q, nil)
+				if !ok || refErr != "" {
+					return
+				}
+				if text, params, _ := rewriteQuery(q, nanParams); params != nil {
+					if _, _, ok := grid(text, params); !ok {
 						return
 					}
-				}
-				if refErr != "" {
-					return
 				}
 				for _, arm := range metamorphicArms {
 					text, params, changed := rewriteQuery(q, arm.rewrite)
@@ -241,7 +260,7 @@ func TestDifferentialOracle(t *testing.T) {
 					if n := first(sum); n != int64(len(refRows)) {
 						fail("group-sum", "aggregate divergence", fmt.Sprintf("rewritten: %s\n%d reference rows, sum of group counts %d", sum, len(refRows), n))
 					}
-					rows, errStr := oracleRun(ref, dr)
+					rows, errStr := oracleRun(ref, dr, nil)
 					if n := first(dc); errStr != "" || n != int64(len(rows)) {
 						fail("group-distinct", "aggregate divergence", fmt.Sprintf("%s = %d\n%s: %d rows, err=%s", dc, n, dr, len(rows), errStr))
 					}
@@ -277,7 +296,8 @@ func TestDifferentialOracle(t *testing.T) {
 // slot, a WHERE conjunct instead of an inline map, commuted conjuncts, a
 // one-element IN list — and any seek returns a subsequence of the scan, so
 // the rows and their order may not move; with-star routes every row
-// through a `WITH *` projection, which rebinds each variable unchanged.
+// through a `WITH *` projection, which rebinds each variable unchanged;
+// rename α-renames every variable, which moves nothing but names.
 var metamorphicArms = []struct {
 	name    string
 	rewrite func(*Query) map[string]graph.Value
@@ -289,6 +309,75 @@ var metamorphicArms = []struct {
 	{"in", func(q *Query) map[string]graph.Value { inlineToWhere(q); eqToIn(q); return nil }},
 	{"in-param", func(q *Query) map[string]graph.Value { inlineToWhere(q); eqToIn(q); return liftParams(q) }},
 	{"with-star", func(q *Query) map[string]graph.Value { withStar(q); return nil }},
+	{"rename", func(q *Query) map[string]graph.Value { renameVars(q); return nil }},
+}
+
+// renameVars prefixes every variable name of q with "v_": the pattern,
+// UNWIND and SET binders, the projection aliases and every reference. A
+// uniform prefix keeps the names' order, so RETURN * keeps its columns'.
+func renameVars(q *Query) {
+	re := func(name string) string {
+		if name == "" {
+			return ""
+		}
+		return "v_" + name
+	}
+	ForEachPattern(q, func(part *PatternPart) {
+		for _, n := range part.Nodes {
+			n.Var = re(n.Var)
+		}
+		for _, r := range part.Rels {
+			r.Var = re(r.Var)
+		}
+	})
+	WalkExprs(q, func(e Expr) {
+		if v, ok := e.(*Variable); ok {
+			v.Name = re(v.Name)
+		}
+	})
+	for _, cl := range q.Clauses {
+		switch c := cl.(type) {
+		case *UnwindClause:
+			c.Alias = re(c.Alias)
+		case *SetClause:
+			for _, it := range c.Items {
+				it.Target = re(it.Target)
+			}
+		case *WithClause:
+			for _, it := range c.Items {
+				it.Alias = re(it.Alias)
+			}
+		case *ReturnClause:
+			for _, it := range c.Items {
+				it.Alias = re(it.Alias)
+			}
+		}
+	}
+}
+
+// nanParams lifts the MATCH clauses' literals into parameters (liftParams)
+// and sets every number among them, alone or in a list, to NaN; nil when
+// there is none.
+func nanParams(q *Query) map[string]graph.Value {
+	nan := graph.NewFloat(math.NaN())
+	params, any := liftParams(q), false
+	for k, v := range params {
+		if _, ok := v.AsFloat(); ok {
+			params[k], any = nan, true
+		} else if v.Kind() == graph.KindList {
+			vs := append([]graph.Value(nil), v.List()...)
+			for i, e := range vs {
+				if _, ok := e.AsFloat(); ok {
+					vs[i], any = nan, true
+				}
+			}
+			params[k] = graph.NewList(vs...)
+		}
+	}
+	if !any {
+		return nil
+	}
+	return params
 }
 
 // withStar inserts `WITH *` before the final RETURN.

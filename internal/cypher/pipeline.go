@@ -18,12 +18,13 @@ package cypher
 //	             batch function at flush, then pushes its output
 //	Sink         appends to Result.Rows (Run) or feeds a Cursor (Session)
 //
-// push receives one row. A binding row handed downstream is a transient
-// view: an operator that keeps it clones it. flush is called once, after
-// the last push; an operator pushes whatever it buffered, then flushes
-// downstream, so a LIMIT that stopped its upstream still lets every later
-// operator finish. Sort, Aggregate and Barrier are the only operators
-// where rows wait; everything else streams.
+// push receives one row. A binding row is a slice with one slot per
+// variable name of the query (slots.go); one handed downstream is a
+// transient view: an operator that keeps it clones it. flush is called
+// once, after the last push; an operator pushes whatever it buffered, then
+// flushes downstream, so a LIMIT that stopped its upstream still lets
+// every later operator finish. Sort, Aggregate and Barrier are the only
+// operators where rows wait; everything else streams.
 //
 // The budget is charged in one place, keep: a row is charged when an
 // operator keeps it (barrier, sort buffer, new DISTINCT key, new group) or
@@ -58,6 +59,7 @@ type pipeline struct {
 	ctx   *evalCtx
 	m     *matcher
 	res   *Result
+	width int // slots per binding row
 	start time.Time
 	done  []time.Duration // per clause: time until its operator flushed
 }
@@ -86,7 +88,7 @@ func (ex *Executor) runPipeline(ctx *evalCtx, q *Query, res *Result, sink *strea
 	if err := p.checkpoint(); err != nil {
 		return err
 	}
-	if err := head.push(Row{}); err != nil && !errors.Is(err, errStopMatching) {
+	if err := head.push(newRow(p.width)); err != nil && !errors.Is(err, errStopMatching) {
 		return err
 	}
 	return head.flush()
@@ -117,8 +119,9 @@ func (p *pipeline) checkpoint() error {
 	return p.m.bud.checkDeadline()
 }
 
-// keep charges one row of width bindings that an operator keeps or a sink
-// emits: the pipeline's one budget charge.
+// keep charges one row of width bindings (bound variables or projected
+// columns) that an operator keeps or a sink emits: the pipeline's one
+// budget charge.
 func (p *pipeline) keep(width int) error {
 	if err := p.m.bud.chargeRows(1); err != nil {
 		return err
@@ -144,16 +147,17 @@ func emitAll[T any](p *pipeline, rows []T, push func(T) error, flush func() erro
 	return flush()
 }
 
-// compile builds the operator chain for q. Scope — the variables bound
-// before each clause — is tracked statically, so RETURN * and the planner
-// know it without waiting for a row. Each clause's operator runs inside
-// the previous one's push, so the clause count bounds the run's stack
-// depth; it is capped like expression depth.
+// compile builds the operator chain for q, resolving its slots and scope
+// first (slots.go) so RETURN * and the planner know the variables bound
+// before each clause without waiting for a row. Each clause's operator
+// runs inside the previous one's push, so the clause count bounds the
+// run's stack depth; it is capped like expression depth.
 func (p *pipeline) compile(q *Query, emit func([]Datum) error) (stage, error) {
 	if len(q.Clauses) > maxExprDepth {
 		return stage{}, execErrf("query has %d clauses; at most %d are supported", len(q.Clauses), maxExprDepth)
 	}
-	scope := map[string]bool{}
+	q.resolve()
+	p.width = q.width
 	builders := make([]func(next stage) stage, len(q.Clauses))
 	for i, clause := range q.Clauses {
 		if i > 0 {
@@ -163,35 +167,24 @@ func (p *pipeline) compile(q *Query, emit func([]Datum) error) (stage, error) {
 		}
 		switch cl := clause.(type) {
 		case *MatchClause:
-			builders[i] = p.match(cl, copyBound(scope))
-			for _, v := range patternVars(cl.Patterns) {
-				scope[v] = true
-			}
+			builders[i] = p.match(cl)
 		case *UnwindClause:
 			builders[i] = p.unwind(cl)
-			scope[cl.Alias] = true
 		case *WithClause:
-			cols, build, err := p.projection(&cl.Projection, scope)
+			build, err := p.projection(&cl.Projection)
 			if err != nil {
 				return stage{}, err
 			}
-			builders[i] = func(next stage) stage { return build(p.bind(cols, cl.Where, next)) }
-			scope = map[string]bool{}
-			for _, c := range cols {
-				scope[c] = true
-			}
+			builders[i] = func(next stage) stage { return build(p.bind(cl.colSlots, cl.Where, next)) }
 		case *ReturnClause:
-			cols, build, err := p.projection(&cl.Projection, scope)
+			build, err := p.projection(&cl.Projection)
 			if err != nil {
 				return stage{}, err
 			}
-			p.res.Columns = cols
+			p.res.Columns = cl.cols
 			builders[i] = func(stage) stage { return build(p.sink(i, emit)) }
 		case *CreateClause:
 			builders[i] = p.barrier(func(in []Row) ([]Row, error) { return p.ex.execCreate(p.ctx, cl, in, &p.res.Stats) })
-			for _, v := range patternVars(cl.Patterns) {
-				scope[v] = true
-			}
 		case *SetClause:
 			builders[i] = p.barrier(func(in []Row) ([]Row, error) { return p.ex.execSet(p.ctx, cl, in, &p.res.Stats) })
 		case *DeleteClause:
@@ -221,8 +214,7 @@ func (p *pipeline) timed(i int, next stage) stage {
 // Its bound index accesses are installed on the matcher only while its own
 // matchAll runs: a downstream MATCH installs its own inside the callback
 // and restores these on return.
-func (p *pipeline) match(cl *MatchClause, bound map[string]bool) func(stage) stage {
-	newVars := patternVars(cl.Patterns)
+func (p *pipeline) match(cl *MatchClause) func(stage) stage {
 	return func(next stage) stage {
 		m := p.m
 		var plan *matchPlan
@@ -230,7 +222,7 @@ func (p *pipeline) match(cl *MatchClause, bound map[string]bool) func(stage) sta
 		return stage{
 			push: func(row Row) error {
 				if plan == nil {
-					plan, acc = p.plan(cl, bound)
+					plan, acc = p.plan(cl)
 				}
 				p.res.Stats.RowsExamined++
 				outer := m.acc
@@ -250,7 +242,7 @@ func (p *pipeline) match(cl *MatchClause, bound map[string]bool) func(stage) sta
 				if err != nil || matched || !cl.Optional {
 					return err
 				}
-				return next.push(nullPadded(row, newVars))
+				return next.push(nullPadded(row, cl.Patterns))
 			},
 			flush: next.flush,
 		}
@@ -260,29 +252,37 @@ func (p *pipeline) match(cl *MatchClause, bound map[string]bool) func(stage) sta
 // plan binds the clause's index accesses to this run's parameters and
 // plans its parts. It is kept out of the push closure, whose frame sits
 // under every match on a Session goroutine's small stack.
-func (p *pipeline) plan(cl *MatchClause, bound map[string]bool) (*matchPlan, []access) {
+func (p *pipeline) plan(cl *MatchClause) (*matchPlan, []access) {
 	acc := p.ex.bindSargs(cl.sargs, p.ctx.params, false)
-	plan := p.ex.planMatch(p.m.g, cl.Patterns, bound, acc)
+	plan := p.ex.planMatch(p.m.g, cl.Patterns, cl.bound, acc)
 	recordPlan(p.m, plan)
 	return plan, acc
 }
 
-// nullPadded copies row with every variable of vars it does not bind set
+// nullPadded copies row with every variable of parts it does not bind set
 // to NULL: OPTIONAL MATCH's row when nothing matched.
-func nullPadded(row Row, vars []string) Row {
+func nullPadded(row Row, parts []*PatternPart) Row {
 	r := row.clone()
-	for _, v := range vars {
-		if _, ok := r[v]; !ok {
-			r[v] = NullDatum
+	pad := func(name string, slot int) {
+		if name != "" && !r[slot].bound() {
+			r[slot] = NullDatum
+		}
+	}
+	for _, part := range parts {
+		for _, n := range part.Nodes {
+			pad(n.Var, n.slot)
+		}
+		for _, rel := range part.Rels {
+			pad(rel.Var, rel.slot)
 		}
 	}
 	return r
 }
 
 // unwind is the Unwind operator: a list yields one row per element, NULL
-// none, any other value itself. The alias is bound in place for each push
-// and the input row restored afterwards. Its rows are not charged, so it
-// polls cancellation and the deadline per element, as the matcher does per
+// none, any other value itself. The alias's slot is set in place for each
+// push and restored afterwards. Its rows are not charged, so it polls
+// cancellation and the deadline per element, as the matcher does per
 // candidate: nested UNWINDs feeding count(*) are bounded by the deadline.
 func (p *pipeline) unwind(cl *UnwindClause) func(stage) stage {
 	return func(next stage) stage {
@@ -300,19 +300,13 @@ func (p *pipeline) unwind(cl *UnwindClause) func(stage) stage {
 				case graph.KindList:
 					elems = v.List()
 				}
-				prev, had := row[cl.Alias]
-				defer func() {
-					if had {
-						row[cl.Alias] = prev
-					} else {
-						delete(row, cl.Alias)
-					}
-				}()
+				prev := row[cl.slot]
+				defer func() { row[cl.slot] = prev }()
 				for _, e := range elems {
 					if err := p.m.pollCtx(); err != nil {
 						return err
 					}
-					row[cl.Alias] = ValDatum(e)
+					row[cl.slot] = ValDatum(e)
 					if err := next.push(row); err != nil {
 						return err
 					}
@@ -332,7 +326,7 @@ func (p *pipeline) barrier(run func([]Row) ([]Row, error)) func(stage) stage {
 		var in []Row
 		return stage{
 			push: func(r Row) error {
-				if err := p.keep(len(r)); err != nil {
+				if err := p.keep(r.width()); err != nil {
 					return err
 				}
 				in = append(in, r.clone())
@@ -352,40 +346,32 @@ func (p *pipeline) barrier(run func([]Row) ([]Row, error)) func(stage) stage {
 	}
 }
 
-// projection compiles a WITH/RETURN projection against the scope before
-// it: star items first (sorted by name), then the written items. SKIP and
-// LIMIT are evaluated here, once. build chains Project or Aggregate, then
-// Distinct, Sort and Skip/Limit as the projection asks, into next.
-func (p *pipeline) projection(pr *Projection, scope map[string]bool) (cols []string, build func(next vstage) stage, err error) {
-	items := pr.Items
-	if pr.Star {
-		var star []*ReturnItem
-		for _, v := range sortedKeys(scope) {
-			star = append(star, &ReturnItem{Expr: &Variable{Name: v}, Alias: v})
-		}
-		items = append(star, items...)
-	}
+// projection compiles a WITH/RETURN projection over its resolved items
+// (slots.go). SKIP and LIMIT are evaluated here, once. build chains Project
+// or Aggregate, then Distinct, Sort and Skip/Limit as the projection asks,
+// into next.
+func (p *pipeline) projection(pr *Projection) (build func(next vstage) stage, err error) {
+	items := pr.items
 	if len(items) == 0 {
-		return nil, nil, execErrf("projection requires at least one item")
+		return nil, execErrf("projection requires at least one item")
 	}
-	cols = projectionCols(items)
 	skip, limit := 0, -1
 	if pr.Skip != nil {
-		if skip, err = p.ex.evalPosInt(p.ctx, pr.Skip, "SKIP"); err != nil {
-			return nil, nil, err
+		if skip, err = p.evalPosInt(pr.Skip, "SKIP"); err != nil {
+			return nil, err
 		}
 	}
 	if pr.Limit != nil {
-		if limit, err = p.ex.evalPosInt(p.ctx, pr.Limit, "LIMIT"); err != nil {
-			return nil, nil, err
+		if limit, err = p.evalPosInt(pr.Limit, "LIMIT"); err != nil {
+			return nil, err
 		}
 	}
-	return cols, func(next vstage) stage {
+	return func(next vstage) stage {
 		if pr.Skip != nil || pr.Limit != nil {
 			next = page(skip, limit, next)
 		}
 		if len(pr.OrderBy) > 0 {
-			next = p.sort(pr.OrderBy, cols, next)
+			next = p.sort(pr.OrderBy, pr.colSlots, next)
 		}
 		if pr.Distinct {
 			next = p.distinct(next)
@@ -397,22 +383,6 @@ func (p *pipeline) projection(pr *Projection, scope map[string]bool) (cols []str
 		}
 		return p.project(items, next)
 	}, nil
-}
-
-// projectionCols names the output columns of a projection item list,
-// suffixing "_" to repeated names.
-func projectionCols(items []*ReturnItem) []string {
-	cols := make([]string, len(items))
-	seen := map[string]bool{}
-	for i, it := range items {
-		name := it.Name()
-		for seen[name] {
-			name += "_"
-		}
-		seen[name] = true
-		cols[i] = name
-	}
-	return cols
 }
 
 // project is the Project operator: it evaluates the items on each row.
@@ -517,12 +487,12 @@ func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 		},
 		flush: func() error {
 			if keys == 0 && groups == 0 {
-				newGroup(Row{})
+				newGroup(newRow(p.width))
 			}
 			out := make([][]Datum, groups)
 			results := make(map[*FuncCall]Datum, nc)
 			p.ctx.aggResults = results
-			first := Row{}
+			first := newRow(p.width)
 			var err error
 			for g := 0; g < groups && err == nil; g++ {
 				row := vals[g*width : (g+1)*width : (g+1)*width]
@@ -573,9 +543,9 @@ func (p *pipeline) distinct(next vstage) vstage {
 }
 
 // sort is the Sort operator. ORDER BY sees the projection's output
-// columns: keys are evaluated on one reused row binding each column name.
-// A buffered row costs its concatenated sort keys, one string.
-func (p *pipeline) sort(orderBy []*SortItem, cols []string, next vstage) vstage {
+// columns: keys are evaluated on one reused row binding only the columns'
+// slots. A buffered row costs its concatenated sort keys, one string.
+func (p *pipeline) sort(orderBy []*SortItem, cols []int, next vstage) vstage {
 	type keyed struct {
 		vals []Datum
 		keys string // the ORDER BY sort keys, concatenated
@@ -584,7 +554,7 @@ func (p *pipeline) sort(orderBy []*SortItem, cols []string, next vstage) vstage 
 	var buf []keyed
 	var ends []int // the rows' ends, len(orderBy) per row
 	var kb []byte
-	r := make(Row, len(cols))
+	r := newRow(p.width)
 	key := func(k keyed, j int) string {
 		if j == 0 {
 			return k.keys[:k.ends[0]]
@@ -596,8 +566,8 @@ func (p *pipeline) sort(orderBy []*SortItem, cols []string, next vstage) vstage 
 			if err := p.keep(len(vals)); err != nil {
 				return err
 			}
-			for i, c := range cols {
-				r[c] = vals[i]
+			for i, s := range cols {
+				r[s] = vals[i]
 			}
 			kb = kb[:0]
 			for _, si := range orderBy {
@@ -661,13 +631,14 @@ func page(skip, limit int, next vstage) vstage {
 }
 
 // bind turns WITH's projected rows back into binding rows for the clauses
-// after it, applying WITH ... WHERE (the Filter operator).
-func (p *pipeline) bind(cols []string, where Expr, next stage) vstage {
-	r := make(Row, len(cols)) // reused: a binding row pushed downstream is transient
+// after it, applying WITH ... WHERE (the Filter operator). Only the
+// columns' slots are bound: WITH ends every other variable's scope.
+func (p *pipeline) bind(cols []int, where Expr, next stage) vstage {
+	r := newRow(p.width) // reused: a binding row pushed downstream is transient
 	return vstage{
 		push: func(vals []Datum) error {
-			for i, c := range cols {
-				r[c] = vals[i]
+			for i, s := range cols {
+				r[s] = vals[i]
 			}
 			if where != nil {
 				t, err := p.ctx.evalBool(where, r)
@@ -698,9 +669,10 @@ func (p *pipeline) sink(i int, emit func([]Datum) error) vstage {
 	}
 }
 
-// evalPosInt evaluates a SKIP or LIMIT expression to a non-negative integer.
-func (ex *Executor) evalPosInt(ctx *evalCtx, e Expr, what string) (int, error) {
-	d, err := ctx.eval(e, Row{})
+// evalPosInt evaluates a SKIP or LIMIT expression, on a row binding
+// nothing, to a non-negative integer.
+func (p *pipeline) evalPosInt(e Expr, what string) (int, error) {
+	d, err := p.ctx.eval(e, newRow(p.width))
 	if err != nil {
 		return 0, err
 	}

@@ -140,7 +140,8 @@ func sargSlot(op BinaryOp, e Expr) (s Sarg, ok bool) {
 
 // seekable reports whether a slot value can drive an index seek under op:
 // a bool, number or string; a string for STARTS WITH; a list of bools,
-// numbers and strings for IN.
+// numbers and strings for IN. A NaN never is: it equals and orders against
+// nothing, yet has a sort key among the numbers.
 func seekable(op BinaryOp, v graph.Value) bool {
 	switch op {
 	case OpIn:
@@ -158,7 +159,8 @@ func seekable(op BinaryOp, v graph.Value) bool {
 	}
 	_, cmp := mirrorOf[op]
 	_, _, ok := kindBand(v.Kind())
-	return cmp && ok
+	f, _ := v.AsFloat()
+	return cmp && ok && f == f
 }
 
 // point reports whether the Sarg seeks a point set (= or IN) rather than an

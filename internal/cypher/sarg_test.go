@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -380,5 +381,49 @@ func TestNumericBoundWidening(t *testing.T) {
 	}
 	if strings.Join(rowStrings(on), "\n") != strings.Join(rowStrings(off), "\n") {
 		t.Fatalf("widening broke equivalence: %v vs %v", rowStrings(on), rowStrings(off))
+	}
+}
+
+// TestNaNComparisons: a NaN equals and orders against nothing, so every
+// comparison with one is false — on a scan, on a range or equality seek
+// (a NaN bound is never seeked) and outside MATCH — while against a
+// non-number it stays null. min and max order NaN above every number,
+// whatever the input order.
+func TestNaNComparisons(t *testing.T) {
+	g := graph.New("nan")
+	for _, x := range []int64{-5, 0, 3, 7} {
+		g.AddNode([]string{"T"}, graph.Props{"x": graph.NewInt(x)})
+	}
+	params := map[string]graph.Value{"p": graph.NewFloat(math.NaN()), "l": graph.NewList(graph.NewFloat(math.NaN()), graph.NewInt(3))}
+	cases := []struct{ q, want string }{
+		{"MATCH (a:T) WHERE a.x >= $p RETURN count(*) AS n", "0"},
+		{"MATCH (a:T) WHERE a.x < $p RETURN count(*) AS n", "0"},
+		{"MATCH (a:T) WHERE $p <= a.x RETURN count(*) AS n", "0"},
+		{"MATCH (a:T) WHERE a.x > -10 AND a.x <= $p RETURN count(*) AS n", "0"},
+		{"MATCH (a:T) WHERE a.x = $p RETURN count(*) AS n", "0"},
+		{"MATCH (a:T {x: $p}) RETURN count(*) AS n", "0"},
+		{"MATCH (a:T) WHERE a.x IN $l RETURN count(*) AS n", "1"},
+		{"MATCH (a:T) WHERE NOT a.x < $p RETURN count(*) AS n", "4"},
+		{"RETURN 1 >= $p AS n", "false"},
+		{"RETURN $p < 1.5 AS n", "false"},
+		{"RETURN $p <> $p AS n", "true"},
+		{"RETURN 'a' < $p AS n", "null"},
+		{"UNWIND [3, $p, -1] AS v RETURN max(v) AS n", "NaN"},
+		{"UNWIND [$p, 3, -1] AS v RETURN max(v) AS n", "NaN"},
+		{"UNWIND [3, -1, $p] AS v RETURN min(v) AS n", "-1"},
+		{"UNWIND [$p, 3, -1] AS v RETURN min(v) AS n", "-1"},
+		{"UNWIND [$p, $p] AS v RETURN min(v) AS n", "NaN"},
+	}
+	for _, opts := range [][]Option{nil, {WithIndexPushdown(false)}, {WithRangePushdown(false)}} {
+		ex := NewExecutor(g, opts...)
+		for _, c := range cases {
+			res, err := ex.Run(c.q, params)
+			if err != nil {
+				t.Fatalf("%s: %v", c.q, err)
+			}
+			if got := res.Value(0, "n").String(); res.Len() != 1 || got != c.want {
+				t.Errorf("%d options, %s = %s (%d rows), want %s", len(opts), c.q, got, res.Len(), c.want)
+			}
+		}
 	}
 }

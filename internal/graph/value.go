@@ -267,8 +267,9 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Compare orders two values. It returns <0, 0, >0 like strings.Compare and
-// ok=false when the pair is incomparable (mixed non-numeric kinds or any
-// null). Numbers compare exactly; a NaN compares equal to every number.
+// ok=false when the pair is incomparable (mixed non-numeric kinds, any null
+// or any NaN). Numbers compare exactly; a NaN orders against nothing, so
+// every ordered comparison involving one is false, as IEEE 754 has it.
 func (v Value) Compare(o Value) (int, bool) {
 	if v.kind == KindNull || o.kind == KindNull {
 		return 0, false
@@ -284,7 +285,7 @@ func (v Value) Compare(o Value) (int, bool) {
 			case fa > fb:
 				return 1, true
 			case fa != fb: // a NaN
-				return 0, true
+				return 0, false
 			case v.kind == KindInt:
 				return intFloatTie(v.Int(), fb), true
 			case o.kind == KindInt:
