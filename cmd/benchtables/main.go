@@ -7,7 +7,6 @@
 //	benchtables                       # everything, all three datasets
 //	benchtables -table 2              # only Table 2 (runs WWC2019)
 //	benchtables -datasets WWC2019,Cybersecurity
-//	benchtables -table index           # recorded index-seek benchmarks
 package main
 
 import (
@@ -30,8 +29,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
-	table := fs.String("table", "all", "which table to regenerate: 1-6, errors, boundaries, index or all")
-	benchFile := fs.String("bench-file", "BENCH_index.json", "recorded index benchmark file rendered by -table index")
+	table := fs.String("table", "all", "which table to regenerate: 1-6, errors, boundaries or all")
 	names := fs.String("datasets", "", "comma-separated dataset subset (default: all)")
 	seed := fs.Int64("seed", 42, "model seed")
 	graphSeed := fs.Int64("graph-seed", 42, "dataset generator seed")
@@ -40,15 +38,6 @@ func run(args []string) error {
 		return err
 	}
 	opts := datasets.Options{Seed: *graphSeed, ViolationRate: *violations}
-
-	if *table == "index" {
-		t, err := report.IndexBenchTable(*benchFile)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t)
-		return nil
-	}
 
 	if *table == "1" {
 		t1, err := report.Table1(opts)

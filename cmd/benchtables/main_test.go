@@ -20,15 +20,6 @@ func TestNarrativeTables(t *testing.T) {
 	}
 }
 
-func TestIndexTable(t *testing.T) {
-	if err := run([]string{"-table", "index", "-bench-file", "../../BENCH_index.json"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-table", "index", "-bench-file", "no-such-file.json"}); err == nil {
-		t.Error("missing bench file should fail")
-	}
-}
-
 func TestErrors(t *testing.T) {
 	if err := run([]string{"-table", "99", "-datasets", "Cybersecurity"}); err == nil {
 		t.Error("unknown table should fail")

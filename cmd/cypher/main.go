@@ -49,8 +49,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	queryQueue := fs.Int("query-queue", 0, "admit at most N concurrent queries, with an N-deep FIFO wait queue and 2s queue timeout (0 = ungated)")
 	lintOnly := fs.Bool("lint", false, "lint the -q query against the graph's schema instead of executing it (exit 1 on error-severity findings)")
 	walPath := fs.String("wal", "", "append every committed mutation epoch to this write-ahead log file")
-	commitWindow := fs.Duration("commit-window", 0, "group-commit fsync window for -wal (0 = flush and sync eagerly per epoch)")
-	replay := fs.String("replay", "", "recover the graph from this WAL file (exactly the epochs closed by a commit marker)")
+	commitWindow := fs.Duration("commit-window", 0, "group-commit fsync window for -wal (0 = flush and sync each epoch before its commit returns)")
+	replay := fs.String("replay", "", "recover the graph from this WAL file (every complete epoch frame before a torn tail)")
 	pinSnapshot := fs.Bool("pin-snapshot", false, "pin each read-only query to the graph epoch current at its start (stable scans under concurrent writers)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,9 +69,9 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "Recovered %d record(s) through epoch %d", info.Applied, info.Epoch)
-		if info.Discarded > 0 || info.Torn {
-			fmt.Fprintf(out, " (discarded %d uncommitted record(s), torn tail: %v)", info.Discarded, info.Torn)
+		fmt.Fprintf(out, "Recovered %d op(s) through epoch %d", info.Applied, info.Epoch)
+		if info.Torn {
+			fmt.Fprint(out, " (dropped a torn tail)")
 		}
 		fmt.Fprintln(out)
 	case *snapshot != "":
@@ -107,7 +107,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		if *commitWindow > 0 {
 			fmt.Fprintf(out, "WAL %s (group commit, %s window)\n", *walPath, *commitWindow)
 		} else {
-			fmt.Fprintf(out, "WAL %s (eager sync)\n", *walPath)
+			fmt.Fprintf(out, "WAL %s (each epoch synced before its commit returns)\n", *walPath)
 		}
 	}
 

@@ -45,7 +45,7 @@ func TestWALWriteThenReplay(t *testing.T) {
 	}
 }
 
-// TestWALReplayTornTail: a torn trailing record is discarded and reported,
+// TestWALReplayTornTail: a torn trailing frame is dropped and reported,
 // and the committed prefix survives.
 func TestWALReplayTornTail(t *testing.T) {
 	walFile := filepath.Join(t.TempDir(), "torn.wal")
@@ -58,8 +58,8 @@ func TestWALReplayTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Append a fragment with no trailing newline: a torn final write.
-	if err := os.WriteFile(walFile, append(data, []byte(`{"op":"add-node"`)...), 0o644); err != nil {
+	// Append the first half of the same frame again: a torn final write.
+	if err := os.WriteFile(walFile, append(data, data[:len(data)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -68,7 +68,7 @@ func TestWALReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "torn tail: true") {
+	if !strings.Contains(s, "dropped a torn tail") {
 		t.Errorf("torn tail not reported:\n%s", s)
 	}
 	if !strings.Contains(s, "Loaded recovered: 1 nodes, 0 edges") {

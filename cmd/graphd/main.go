@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	maxQueue := fs.Int("max-queue", 64, "queue at most N queries waiting for an execution slot")
 	queueTimeout := fs.Duration("queue-timeout", 2*time.Second, "reject queries queued longer than this")
 	walPath := fs.String("wal", "", "append every committed mutation epoch to this write-ahead log file")
-	commitWindow := fs.Duration("commit-window", 0, "group-commit fsync window for -wal (0 = eager per-epoch sync)")
+	commitWindow := fs.Duration("commit-window", 0, "group-commit fsync window for -wal (0 = flush and sync each epoch before its commit returns)")
 	pinSnapshot := fs.Bool("pin-snapshot", false, "pin each read-only query to the graph epoch current at its start")
 	if err := fs.Parse(args); err != nil {
 		return err

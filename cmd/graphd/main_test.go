@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/graphrules/graphrules/internal/bolt"
+	"github.com/graphrules/graphrules/internal/storage"
 )
 
 // syncWriter lets the test read run()'s output while it is still being
@@ -140,5 +143,56 @@ func TestGraphdBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-snapshot", "/nonexistent/graph.snap"}, &syncWriter{}); err == nil {
 		t.Fatal("run accepted a missing snapshot file")
+	}
+}
+
+// TestGraphdCommitIsDurable: with -wal and the default commit window, a
+// Bolt COMMIT that succeeded is already in the log file while the server
+// is still up — no Close, flush or shutdown needed to recover it.
+func TestGraphdCommitIsDurable(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	walFile := filepath.Join(t.TempDir(), "graphd.wal")
+	out := &syncWriter{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-wal", walFile}, out)
+	}()
+
+	c, err := bolt.Dial(listenAddr(t, out, "bolt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Hello("graphd-test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.RunAll(`CREATE (n:Durable {id: 7}) RETURN n.id AS id`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(walFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, info, err := storage.RecoverReplay("durable", f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := g.NodesWithLabel("Durable")
+	if info.Torn || len(ids) != 1 || g.Node(ids[0]).Prop("id").Int() != 7 {
+		t.Fatalf("log of a running server recovers %d Durable node(s) (info %+v)", len(ids), info)
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v", err)
 	}
 }

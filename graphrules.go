@@ -114,14 +114,9 @@ func OnGraphCommit(g *Graph, fn func(*GraphDelta)) (cancel func()) { return g.On
 
 // Write-ahead logging and crash recovery.
 type (
-	// WAL is a write-ahead log of graph mutations, with optional group
-	// commit (batched fsync) via NewGroupWAL.
+	// WAL is a write-ahead log holding one CRC-checked frame per
+	// committed epoch; NewGroupWAL's window sets when a frame is durable.
 	WAL = storage.WAL
-	// WALRecord is one logged mutation (or commit marker).
-	WALRecord = storage.Record
-	// LoggedGraph pairs a graph with a WAL: every mutation is applied,
-	// logged, and made durable (Commit barrier) before the call returns.
-	LoggedGraph = storage.LoggedGraph
 	// RecoveryInfo reports what RecoverWAL salvaged from a damaged log.
 	RecoveryInfo = storage.RecoveryInfo
 	// WALPoisonedError is a WAL's typed sticky error after a storage
@@ -135,26 +130,22 @@ type (
 	FaultSink = storage.FaultSink
 )
 
-// NewWAL wraps w as an eager write-ahead log (flush + sync per append).
-func NewWAL(w io.Writer) *WAL { return storage.NewWAL(w) }
-
-// NewGroupWAL wraps w as a group-commit write-ahead log: appends buffer,
-// a background flusher syncs every window, and Commit() barriers until
-// the caller's records are durable. window <= 0 flushes only on demand.
+// NewGroupWAL wraps w as a write-ahead log. With window <= 0 every epoch's
+// frame is flushed and synced before its commit returns; with window > 0
+// frames buffer, a background flusher syncs them at most window apart,
+// and Commit() barriers until the caller's epochs are durable.
 func NewGroupWAL(w io.Writer, window time.Duration) *WAL {
 	return storage.NewGroupWAL(w, window)
 }
 
-// NewLoggedGraph pairs g with wal; see LoggedGraph.
-func NewLoggedGraph(g *Graph, wal *WAL) *LoggedGraph { return storage.NewLoggedGraph(g, wal) }
-
 // AttachWAL subscribes wal to g's commit stream: every committed epoch is
-// appended (with its commit marker) from the commit path. The returned
-// detach unsubscribes.
+// appended as one frame from the commit path. The returned detach
+// unsubscribes.
 func AttachWAL(g *Graph, wal *WAL) (detach func()) { return storage.AttachWAL(g, wal) }
 
-// RecoverWAL rebuilds a graph from a possibly torn log, applying exactly
-// the epochs closed by a commit marker and reporting what was discarded.
+// RecoverWAL rebuilds a graph from a possibly torn log, applying every
+// complete, CRC-clean frame as one atomic epoch and reporting whether a
+// torn tail was dropped.
 func RecoverWAL(name string, r io.Reader) (*Graph, RecoveryInfo, error) {
 	return storage.RecoverReplay(name, r)
 }

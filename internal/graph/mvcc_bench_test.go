@@ -1,6 +1,8 @@
 package graph
 
-// MVCC write-path benchmarks (results recorded in BENCH_mvcc.json).
+// MVCC write-path benchmarks. Recorded numbers come from the harness
+// (`go run ./bench`): graph.commit_us, storage.wal_commit_us and
+// graph.snapshot_cold_us on the bolt_rw workload.
 //
 // BenchmarkMVCCWrite measures sustained mutation throughput: each
 // iteration is one committed epoch (add a node, set a property, remove the

@@ -1,6 +1,7 @@
 package metrics
 
-// Delta re-scoring benchmarks (results recorded in BENCH_mvcc.json).
+// Delta re-scoring benchmarks. The harness (`go run ./bench`) has no
+// Maintainer workload yet, so these are the only measurement.
 //
 // BenchmarkDeltaRescore compares what one committed epoch costs to fold
 // into the rule scores: "delta" applies the epoch through the Maintainer

@@ -76,7 +76,7 @@ type Fault struct {
 
 // FaultSink wraps an io.Writer with scheduled fault injection. It
 // implements Syncer regardless of the underlying writer; Sync on a
-// non-Syncer sink is a healthy no-op (matching NewWAL's own detection —
+// non-Syncer sink is a healthy no-op (matching NewGroupWAL's own detection —
 // wrap a Syncer to exercise sync faults).
 type FaultSink struct {
 	mu       sync.Mutex

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"github.com/graphrules/graphrules/internal/graph"
 )
@@ -132,36 +131,6 @@ func anyToProps(m map[string]any) (graph.Props, error) {
 	return p, nil
 }
 
-// walProps encodes a property map for the WAL with exact round-trip
-// fidelity: floats are wrapped in a {"$f":"<decimal>"} tag so whole floats
-// (which marshal as bare integers) keep their kind, and anyToValue's
-// json.Number path preserves int64 precision.
-func walProps(p graph.Props) map[string]any {
-	if len(p) == 0 {
-		return nil
-	}
-	out := make(map[string]any, len(p))
-	for k, v := range p {
-		out[k] = walValue(v)
-	}
-	return out
-}
-
-func walValue(v graph.Value) any {
-	switch v.Kind() {
-	case graph.KindFloat:
-		return map[string]any{"$f": strconv.FormatFloat(v.Float(), 'g', -1, 64)}
-	case graph.KindList:
-		out := make([]any, len(v.List()))
-		for i, e := range v.List() {
-			out[i] = walValue(e)
-		}
-		return out
-	default:
-		return valueToAny(v)
-	}
-}
-
 func anyToValue(raw any) (graph.Value, error) {
 	switch x := raw.(type) {
 	case nil:
@@ -171,8 +140,8 @@ func anyToValue(raw any) (graph.Value, error) {
 	case string:
 		return graph.NewString(x), nil
 	case json.Number:
-		// UseNumber decoding path: integral spellings stay int64-exact,
-		// everything else is a float.
+		// ReadJSON decodes with UseNumber: integral spellings stay
+		// int64-exact, everything else is a float.
 		if i, err := x.Int64(); err == nil {
 			return graph.NewInt(i), nil
 		}
@@ -187,27 +156,6 @@ func anyToValue(raw any) (graph.Value, error) {
 			return graph.NewInt(int64(x)), nil
 		}
 		return graph.NewFloat(x), nil
-	case map[string]any:
-		// Tagged float from the WAL encoding (see walValue).
-		if len(x) == 1 {
-			if s, ok := x["$f"]; ok {
-				str, ok := s.(string)
-				if !ok {
-					if num, isNum := s.(json.Number); isNum {
-						str = num.String()
-						ok = true
-					}
-				}
-				if ok {
-					f, err := strconv.ParseFloat(str, 64)
-					if err != nil {
-						return graph.Null, fmt.Errorf("bad tagged float %q", str)
-					}
-					return graph.NewFloat(f), nil
-				}
-			}
-		}
-		return graph.Null, fmt.Errorf("unsupported JSON object value %v", x)
 	case []any:
 		elems := make([]graph.Value, len(x))
 		for i, e := range x {

@@ -6,6 +6,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,22 +47,14 @@ func WriteSnapshot(w io.Writer, g *graph.Graph) error {
 	nodes := g.Nodes()
 	writeUvarint(bw, uint64(len(nodes)))
 	for _, id := range nodes {
-		n := g.Node(id)
-		writeUvarint(bw, uint64(n.ID))
-		writeStringSlice(bw, n.Labels)
-		if err := writeProps(bw, n.Props); err != nil {
+		if err := writeNode(bw, g.Node(id)); err != nil {
 			return err
 		}
 	}
 	edges := g.Edges()
 	writeUvarint(bw, uint64(len(edges)))
 	for _, id := range edges {
-		e := g.Edge(id)
-		writeUvarint(bw, uint64(e.ID))
-		writeUvarint(bw, uint64(e.From))
-		writeUvarint(bw, uint64(e.To))
-		writeStringSlice(bw, e.Labels)
-		if err := writeProps(bw, e.Props); err != nil {
+		if err := writeEdge(bw, g.Edge(id)); err != nil {
 			return err
 		}
 	}
@@ -99,51 +92,27 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
 	}
 	idMap := make(map[graph.ID]graph.ID, nodeCount)
 	for i := uint64(0); i < nodeCount; i++ {
-		oldID, err := readUvarint(br)
+		n, err := readNode(br)
 		if err != nil {
 			return nil, err
 		}
-		labels, err := readStringSlice(br)
-		if err != nil {
-			return nil, err
-		}
-		props, err := readProps(br)
-		if err != nil {
-			return nil, err
-		}
-		n := g.AddNode(labels, props)
-		idMap[graph.ID(oldID)] = n.ID
+		idMap[n.ID] = g.AddNode(n.Labels, n.Props).ID
 	}
 	edgeCount, err := readUvarint(br)
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < edgeCount; i++ {
-		if _, err := readUvarint(br); err != nil { // edge id (regenerated)
-			return nil, err
-		}
-		from, err := readUvarint(br)
+		e, err := readEdge(br)
 		if err != nil {
 			return nil, err
 		}
-		to, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		labels, err := readStringSlice(br)
-		if err != nil {
-			return nil, err
-		}
-		props, err := readProps(br)
-		if err != nil {
-			return nil, err
-		}
-		nf, ok1 := idMap[graph.ID(from)]
-		nt, ok2 := idMap[graph.ID(to)]
+		nf, ok1 := idMap[e.From]
+		nt, ok2 := idMap[e.To]
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("%w: edge references unknown node %d->%d", ErrBadSnapshot, from, to)
+			return nil, fmt.Errorf("%w: edge references unknown node %d->%d", ErrBadSnapshot, e.From, e.To)
 		}
-		if _, err := g.AddEdge(nf, nt, labels, props); err != nil {
+		if _, err := g.AddEdge(nf, nt, e.Labels, e.Props); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
 	}
@@ -180,14 +149,29 @@ func LoadFile(path string) (*graph.Graph, error) {
 }
 
 // ---------- low-level encoding ----------
+//
+// The value codec below is shared by snapshots (over bufio) and WAL frames
+// (over an in-memory payload). Writes to either never fail on their own:
+// bufio latches its error until Flush, and bytes.Buffer cannot fail.
 
-func writeUvarint(w *bufio.Writer, v uint64) {
+type byteWriter interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+func writeUvarint(w byteWriter, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	w.Write(buf[:n])
 }
 
-func readUvarint(r *bufio.Reader) (uint64, error) {
+func readUvarint(r byteReader) (uint64, error) {
 	v, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -195,20 +179,35 @@ func readUvarint(r *bufio.Reader) (uint64, error) {
 	return v, nil
 }
 
-func writeString(w *bufio.Writer, s string) {
+const maxStringLen = 1 << 26 // 64 MiB, a sanity bound against corruption
+
+// readLen reads a length or count prefix. Every counted item takes at
+// least one byte, so when r is an in-memory payload the bytes left in it
+// bound the prefix too: a corrupt length is rejected, never allocated.
+func readLen(r byteReader, what string) (uint64, error) {
+	n, err := readUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	limit := uint64(maxStringLen)
+	if br, ok := r.(*bytes.Reader); ok {
+		limit = min(limit, uint64(br.Len()))
+	}
+	if n > limit {
+		return 0, fmt.Errorf("%w: %s length %d", ErrBadSnapshot, what, n)
+	}
+	return n, nil
+}
+
+func writeString(w byteWriter, s string) {
 	writeUvarint(w, uint64(len(s)))
 	w.WriteString(s)
 }
 
-const maxStringLen = 1 << 26 // 64 MiB, a sanity bound against corruption
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readUvarint(r)
+func readString(r byteReader) (string, error) {
+	n, err := readLen(r, "string")
 	if err != nil {
 		return "", err
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("%w: string length %d", ErrBadSnapshot, n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -217,20 +216,17 @@ func readString(r *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
-func writeStringSlice(w *bufio.Writer, ss []string) {
+func writeStringSlice(w byteWriter, ss []string) {
 	writeUvarint(w, uint64(len(ss)))
 	for _, s := range ss {
 		writeString(w, s)
 	}
 }
 
-func readStringSlice(r *bufio.Reader) ([]string, error) {
-	n, err := readUvarint(r)
+func readStringSlice(r byteReader) ([]string, error) {
+	n, err := readLen(r, "slice")
 	if err != nil {
 		return nil, err
-	}
-	if n > maxStringLen {
-		return nil, fmt.Errorf("%w: slice length %d", ErrBadSnapshot, n)
 	}
 	out := make([]string, n)
 	for i := range out {
@@ -241,7 +237,60 @@ func readStringSlice(r *bufio.Reader) ([]string, error) {
 	return out, nil
 }
 
-func writeProps(w *bufio.Writer, p graph.Props) error {
+// writeNode encodes id | labels | props.
+func writeNode(w byteWriter, n *graph.Node) error {
+	writeUvarint(w, uint64(n.ID))
+	writeStringSlice(w, n.Labels)
+	return writeProps(w, n.Props)
+}
+
+func readID(r byteReader) (graph.ID, error) {
+	v, err := readUvarint(r)
+	return graph.ID(v), err
+}
+
+func readNode(r byteReader) (*graph.Node, error) {
+	var n graph.Node
+	var err error
+	if n.ID, err = readID(r); err != nil {
+		return nil, err
+	}
+	if n.Labels, err = readStringSlice(r); err != nil {
+		return nil, err
+	}
+	if n.Props, err = readProps(r); err != nil {
+		return nil, err
+	}
+	return &n, nil
+}
+
+// writeEdge encodes id | from | to | labels | props.
+func writeEdge(w byteWriter, e *graph.Edge) error {
+	writeUvarint(w, uint64(e.ID))
+	writeUvarint(w, uint64(e.From))
+	writeUvarint(w, uint64(e.To))
+	writeStringSlice(w, e.Labels)
+	return writeProps(w, e.Props)
+}
+
+func readEdge(r byteReader) (*graph.Edge, error) {
+	var e graph.Edge
+	var err error
+	for _, id := range []*graph.ID{&e.ID, &e.From, &e.To} {
+		if *id, err = readID(r); err != nil {
+			return nil, err
+		}
+	}
+	if e.Labels, err = readStringSlice(r); err != nil {
+		return nil, err
+	}
+	if e.Props, err = readProps(r); err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+func writeProps(w byteWriter, p graph.Props) error {
 	keys := p.Keys()
 	writeUvarint(w, uint64(len(keys)))
 	for _, k := range keys {
@@ -253,13 +302,10 @@ func writeProps(w *bufio.Writer, p graph.Props) error {
 	return nil
 }
 
-func readProps(r *bufio.Reader) (graph.Props, error) {
-	n, err := readUvarint(r)
+func readProps(r byteReader) (graph.Props, error) {
+	n, err := readLen(r, "props")
 	if err != nil {
 		return nil, err
-	}
-	if n > maxStringLen {
-		return nil, fmt.Errorf("%w: props length %d", ErrBadSnapshot, n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -279,7 +325,7 @@ func readProps(r *bufio.Reader) (graph.Props, error) {
 	return p, nil
 }
 
-func writeValue(w *bufio.Writer, v graph.Value) error {
+func writeValue(w byteWriter, v graph.Value) error {
 	w.WriteByte(byte(v.Kind()))
 	switch v.Kind() {
 	case graph.KindNull:
@@ -312,7 +358,7 @@ func writeValue(w *bufio.Writer, v graph.Value) error {
 	return nil
 }
 
-func readValue(r *bufio.Reader) (graph.Value, error) {
+func readValue(r byteReader) (graph.Value, error) {
 	kb, err := r.ReadByte()
 	if err != nil {
 		return graph.Null, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -345,12 +391,9 @@ func readValue(r *bufio.Reader) (graph.Value, error) {
 		}
 		return graph.NewString(s), nil
 	case graph.KindList:
-		n, err := readUvarint(r)
+		n, err := readLen(r, "list")
 		if err != nil {
 			return graph.Null, err
-		}
-		if n > maxStringLen {
-			return graph.Null, fmt.Errorf("%w: list length %d", ErrBadSnapshot, n)
 		}
 		elems := make([]graph.Value, n)
 		for i := range elems {

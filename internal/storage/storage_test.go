@@ -172,39 +172,27 @@ func TestCSVErrors(t *testing.T) {
 }
 
 func TestWALReplay(t *testing.T) {
-	var buf bytes.Buffer
-	wal := NewWAL(&buf)
-	g := graph.New("w")
-	lg := NewLoggedGraph(g, wal)
-
-	a, err := lg.AddNode([]string{"User"}, graph.Props{"id": graph.NewInt(1)})
+	g, buf := loggedGraph("w")
+	a := g.AddNode([]string{"User"}, graph.Props{"id": graph.NewInt(1)})
+	b := g.AddNode([]string{"Tweet"}, nil)
+	e, err := g.AddEdge(a.ID, b.ID, []string{"POSTS"}, graph.Props{"at": graph.NewInt(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := lg.AddNode([]string{"Tweet"}, nil)
-	e, err := lg.AddEdge(a.ID, b.ID, []string{"POSTS"}, graph.Props{"at": graph.NewInt(9)})
-	if err != nil {
+	if err := g.SetNodeProp(a.ID, "name", graph.NewString("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.SetNodeProp(a.ID, "name", graph.NewString("x")); err != nil {
+	if err := g.SetEdgeProp(e.ID, "at", graph.NewInt(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.SetEdgeProp(e.ID, "at", graph.NewInt(10)); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := lg.AddNode([]string{"Temp"}, nil)
-	if err := lg.RemoveNode(c.ID); err != nil {
-		t.Fatal(err)
-	}
-	// 7 mutation records, each closed by its own commit marker.
-	if wal.Len() != 14 {
-		t.Errorf("wal records = %d", wal.Len())
+	c := g.AddNode([]string{"Temp"}, nil)
+	g.RemoveNode(c.ID)
+	// 7 mutations, each its own epoch and so its own frame.
+	if n := len(frameEnds(t, buf.Bytes())); n != 7 {
+		t.Errorf("wal frames = %d", n)
 	}
 
-	replayed, err := Replay("w", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := recoverWhole(t, "w", buf.Bytes())
 	equalGraphs(t, g, replayed)
 	rn := replayed.Node(replayed.NodesWithLabel("User")[0])
 	if rn.Prop("name").Str() != "x" {
@@ -216,17 +204,25 @@ func TestWALReplay(t *testing.T) {
 	}
 }
 
+// TestWALReplayErrors: a frame that passes its CRC but does not decode or
+// apply is an error, not a torn tail.
 func TestWALReplayErrors(t *testing.T) {
-	bad := []string{
-		`{"op":"add-edge","from":1,"to":2,"labels":["R"]}`,
-		`{"op":"set-node-prop","id":5,"key":"x","value":1}`,
-		`{"op":"bogus"}`,
-		`{"op":`,
+	epoch := func(ops ...graph.Op) *graph.Delta { return &graph.Delta{Epoch: 1, Ops: ops} }
+	bad := map[string][]byte{
+		"unknown endpoint": logOf(t, epoch(graph.Op{Kind: graph.OpAddEdge,
+			Edge: &graph.Edge{From: 1, To: 2, Labels: []string{"R"}}})),
+		"unknown node": logOf(t, epoch(graph.Op{Kind: graph.OpSetNodeProp,
+			ID: 5, Key: "x", Value: graph.NewInt(1)})),
+		"unknown op":        appendFrame(nil, []byte{1, 99}),
+		"truncated payload": appendFrame(nil, []byte{1, byte(graph.OpAddNode), 0x80}),
 	}
-	for _, line := range bad {
-		if _, err := Replay("x", strings.NewReader(line+"\n")); err == nil {
-			t.Errorf("Replay(%q) should fail", line)
+	for name, data := range bad {
+		if _, _, err := RecoverReplay("x", bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: recovery should fail", name)
 		}
+	}
+	if err := NewGroupWAL(&bytes.Buffer{}, 0).Append(epoch(graph.Op{Kind: 99})); err == nil {
+		t.Error("appending an unknown op should fail")
 	}
 }
 

@@ -3,9 +3,10 @@ package storage
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sync"
 	"time"
@@ -13,44 +14,105 @@ import (
 	"github.com/graphrules/graphrules/internal/graph"
 )
 
-// OpKind identifies one WAL record type.
-type OpKind string
+// WAL layout: one frame per committed epoch,
+//
+//	uvarint length | CRC-32C of payload (4 bytes, little-endian) | payload
+//
+// where the payload is the epoch number (uvarint) followed by the epoch's
+// graph.Ops in apply order (see writeOp), encoded with snapshot.go's value
+// and props codec. A frame that is complete and passes its CRC is a
+// committed epoch.
 
-// WAL record kinds.
-const (
-	OpAddNode     OpKind = "add-node"
-	OpAddEdge     OpKind = "add-edge"
-	OpSetNodeProp OpKind = "set-node-prop"
-	OpSetEdgeProp OpKind = "set-edge-prop"
-	OpAddLabels   OpKind = "add-labels"
-	OpRemoveNode  OpKind = "remove-node"
-	OpRemoveEdge  OpKind = "remove-edge"
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-	// OpCommit is an epoch commit marker: every record since the previous
-	// marker belongs to the epoch it closes. Recovery (RecoverReplay)
-	// applies only marker-closed prefixes after a torn tail.
-	OpCommit OpKind = "commit"
-)
+const crcLen = 4
 
-// Record is one WAL entry (JSON-lines on disk). Property values are
-// encoded for exact round-tripping: integers as JSON numbers (decoded via
-// json.Number, so int64 precision survives), floats as a tagged
-// {"$f":"<decimal>"} object (so 1.0 does not collapse into the integer 1).
-type Record struct {
-	Op     OpKind         `json:"op"`
-	ID     int64          `json:"id,omitempty"`
-	From   int64          `json:"from,omitempty"`
-	To     int64          `json:"to,omitempty"`
-	Labels []string       `json:"labels,omitempty"`
-	Props  map[string]any `json:"props,omitempty"`
-	Key    string         `json:"key,omitempty"`
-	Value  any            `json:"value,omitempty"`
-	Epoch  uint64         `json:"epoch,omitempty"`
+// appendFrame appends payload to dst as one frame.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// nextFrame splits the first frame off data. ok is false when data does
+// not start with a complete frame whose CRC matches: a torn or corrupt
+// tail. The claimed length is checked against data before it is used, so
+// a corrupt length is never allocated. Every frame holds at least its
+// epoch number, so a zero length, which is how a zero-filled tail reads
+// (CRC-32C of nothing is 0), is torn too.
+func nextFrame(data []byte) (payload, rest []byte, ok bool) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n == 0 || len(data)-k < crcLen || n > uint64(len(data)-k-crcLen) {
+		return nil, data, false
+	}
+	sum := binary.LittleEndian.Uint32(data[k:])
+	payload = data[k+crcLen : k+crcLen+int(n)]
+	if crc32.Checksum(payload, castagnoli) != sum {
+		return nil, data, false
+	}
+	return payload, data[k+crcLen+int(n):], true
+}
+
+// writeOp encodes one op as its kind byte followed by: the node (add-node),
+// the edge (add-edge), id | key | value (set-node-prop, set-edge-prop),
+// id | labels (add-labels) or id (remove-node, remove-edge).
+func writeOp(w byteWriter, op *graph.Op) error {
+	w.WriteByte(byte(op.Kind))
+	switch op.Kind {
+	case graph.OpAddNode:
+		return writeNode(w, op.Node)
+	case graph.OpAddEdge:
+		return writeEdge(w, op.Edge)
+	}
+	writeUvarint(w, uint64(op.ID))
+	switch op.Kind {
+	case graph.OpSetNodeProp, graph.OpSetEdgeProp:
+		writeString(w, op.Key)
+		return writeValue(w, op.Value)
+	case graph.OpAddLabels:
+		writeStringSlice(w, op.Labels)
+	case graph.OpRemoveNode, graph.OpRemoveEdge:
+	default:
+		return fmt.Errorf("storage: wal: unknown op %v", op.Kind)
+	}
+	return nil
+}
+
+// readOp decodes what writeOp encoded.
+func readOp(r byteReader) (graph.Op, error) {
+	kb, err := r.ReadByte()
+	if err != nil {
+		return graph.Op{}, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	op := graph.Op{Kind: graph.OpKind(kb)}
+	switch op.Kind {
+	case graph.OpAddNode:
+		op.Node, err = readNode(r)
+		return op, err
+	case graph.OpAddEdge:
+		op.Edge, err = readEdge(r)
+		return op, err
+	case graph.OpSetNodeProp, graph.OpSetEdgeProp, graph.OpAddLabels, graph.OpRemoveNode, graph.OpRemoveEdge:
+	default:
+		return op, fmt.Errorf("%w: op kind %d", ErrBadSnapshot, kb)
+	}
+	if op.ID, err = readID(r); err != nil {
+		return op, err
+	}
+	switch op.Kind {
+	case graph.OpSetNodeProp, graph.OpSetEdgeProp:
+		if op.Key, err = readString(r); err == nil {
+			op.Value, err = readValue(r)
+		}
+	case graph.OpAddLabels:
+		op.Labels, err = readStringSlice(r)
+	}
+	return op, err
 }
 
 // Syncer is the optional durability hook of a WAL sink (os.File satisfies
 // it). When the sink implements it, a flush is followed by Sync before any
-// record is considered durable.
+// frame is considered durable.
 type Syncer interface{ Sync() error }
 
 // ErrWALClosed is returned by appends to a closed WAL.
@@ -59,92 +121,79 @@ var ErrWALClosed = errors.New("storage: wal closed")
 // WALPoisonedError is the WAL's typed sticky error: a write, flush or
 // fsync failed, so durability can no longer be promised for anything past
 // Durable. Every Append and every Commit waiting on a lost window returns
-// it; Commits whose records were already durable before the fault still
+// it; Commits whose frames were already durable before the fault still
 // succeed. The graph itself keeps working — only logging is poisoned —
 // and ReattachWAL re-establishes durable logging on a fresh sink once
 // the fault clears.
 type WALPoisonedError struct {
 	// Cause is the underlying I/O error.
 	Cause error
-	// Durable is the sequence number of the last record that was flushed
+	// Durable is the sequence number of the last frame that was flushed
 	// and synced before the fault: everything at or below it survived.
 	Durable uint64
 }
 
 func (e *WALPoisonedError) Error() string {
-	return fmt.Sprintf("storage: wal poisoned after durable record %d: %v", e.Durable, e.Cause)
+	return fmt.Sprintf("storage: wal poisoned after durable frame %d: %v", e.Durable, e.Cause)
 }
 
 func (e *WALPoisonedError) Unwrap() error { return e.Cause }
 
-// WAL is a write-ahead log capturing graph mutations as JSON lines. It is
+// WAL is a write-ahead log holding one frame per committed epoch. It is
 // safe for concurrent use.
 //
-// Two durability modes exist. NewWAL gives the legacy eager mode: every
-// Append flushes (and Syncs, when the sink is a Syncer) before returning.
-// NewGroupWAL gives group commit: appends only buffer, and a background
-// flusher makes them durable in batches — on a tunable window tick and on
-// Commit barriers — so many concurrent epochs share one fsync. Commit
-// returns only after every record appended before the call is flushed and
-// synced; an epoch is never acknowledged before it is durable.
+// The commit window sets when a frame becomes durable (flushed, and
+// synced when the sink is a Syncer):
+//
+//   - window <= 0: before Append returns. Under AttachWAL, Append runs on
+//     the committing goroutine, so an epoch is durable before the commit
+//     that produced it returns.
+//   - window > 0: appends only buffer, and a background flusher makes them
+//     durable in batches at most window apart, so concurrent epochs share
+//     one fsync. Durability lags a commit by at most the window; Commit
+//     is the barrier for callers that must acknowledge an epoch.
 type WAL struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	w       *bufio.Writer
 	syncer  Syncer
-	n       int
+	payload bytes.Buffer // scratch: the epoch being encoded
+	frame   []byte       // scratch: its frame
 	err     error
-	lsn     uint64 // sequence number of the last appended record
-	durable uint64 // sequence number of the last flushed+synced record
+	lsn     uint64 // sequence number of the last appended frame
+	durable uint64 // sequence number of the last flushed+synced frame
 	closed  bool
 
-	grouped bool
-	window  time.Duration
-	kick    chan struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
+	kick chan struct{} // nil when window <= 0
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
-// NewWAL returns an eager WAL writing to w: every Append is flushed (and
-// synced, when w is a Syncer) before it returns.
-func NewWAL(w io.Writer) *WAL {
-	l := &WAL{w: bufio.NewWriter(w)}
-	if s, ok := w.(Syncer); ok {
-		l.syncer = s
-	}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-// NewGroupWAL returns a group-commit WAL: appends buffer in memory and are
-// made durable in batches by a background flusher, at most window apart
-// (window <= 0 disables the timer: flushes then happen only on Commit
-// barriers and Close). Callers needing durability call Commit.
+// NewGroupWAL returns a WAL writing to w with the given commit window (see
+// WAL). A window > 0 starts the background flusher; Close stops it.
 func NewGroupWAL(w io.Writer, window time.Duration) *WAL {
-	l := NewWAL(w)
-	l.grouped = true
-	l.window = window
-	l.kick = make(chan struct{}, 1)
-	l.done = make(chan struct{})
-	l.wg.Add(1)
-	go l.flushLoop()
+	l := &WAL{w: bufio.NewWriter(w)}
+	l.syncer, _ = w.(Syncer)
+	l.cond = sync.NewCond(&l.mu)
+	if window > 0 {
+		l.kick = make(chan struct{}, 1)
+		l.done = make(chan struct{})
+		l.wg.Add(1)
+		go l.flushLoop(window)
+	}
 	return l
 }
 
-func (l *WAL) flushLoop() {
+func (l *WAL) flushLoop(window time.Duration) {
 	defer l.wg.Done()
-	var tickC <-chan time.Time
-	if l.window > 0 {
-		tick := time.NewTicker(l.window)
-		defer tick.Stop()
-		tickC = tick.C
-	}
+	tick := time.NewTicker(window)
+	defer tick.Stop()
 	for {
 		select {
 		case <-l.done:
 			return
 		case <-l.kick:
-		case <-tickC:
+		case <-tick.C:
 		}
 		l.mu.Lock()
 		l.flushLocked()
@@ -173,7 +222,7 @@ func (l *WAL) Poisoned() *WALPoisonedError {
 	return nil
 }
 
-// flushLocked makes every appended record durable. Called with mu held.
+// flushLocked makes every appended frame durable. Called with mu held.
 func (l *WAL) flushLocked() {
 	defer l.cond.Broadcast()
 	if l.err != nil || l.durable >= l.lsn {
@@ -193,23 +242,16 @@ func (l *WAL) flushLocked() {
 	l.durable = target
 }
 
-// Len returns the number of records appended so far (commit markers
-// included).
-func (l *WAL) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Durable returns the sequence number of the last record known flushed and
-// synced. LSN returns the sequence number of the last appended record.
+// Durable returns the sequence number of the last frame known flushed and
+// synced.
 func (l *WAL) Durable() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.durable
 }
 
-// LSN returns the sequence number of the last appended record.
+// LSN returns the sequence number of the last appended frame, which is
+// also the number of frames appended.
 func (l *WAL) LSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -223,10 +265,10 @@ func (l *WAL) Err() error {
 	return l.err
 }
 
-// Append writes one record. In eager mode it is durable when Append
-// returns; in group mode it is buffered until the next window tick or
-// Commit barrier.
-func (l *WAL) Append(rec Record) error {
+// Append writes one committed epoch as one frame. With window <= 0 the
+// frame is durable when Append returns; otherwise it waits for the next
+// window tick or Commit barrier.
+func (l *WAL) Append(d *graph.Delta) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -235,32 +277,37 @@ func (l *WAL) Append(rec Record) error {
 	if l.err != nil {
 		return l.err
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		l.err = err
-		return err
+	l.payload.Reset()
+	writeUvarint(&l.payload, d.Epoch)
+	for i := range d.Ops {
+		if err := writeOp(&l.payload, &d.Ops[i]); err != nil {
+			l.err = err
+			return err
+		}
 	}
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
+	l.frame = appendFrame(l.frame[:0], l.payload.Bytes())
+	if _, err := l.w.Write(l.frame); err != nil {
 		l.poisonLocked(err)
 		return l.err
 	}
-	l.n++
 	l.lsn++
-	if !l.grouped {
+	if l.kick == nil {
 		l.flushLocked()
 	}
 	return l.err
 }
 
-// Commit is the durability barrier: it returns once every record appended
+// Commit is the durability barrier: it returns once every frame appended
 // before the call is flushed and synced (or with the sticky error). This
-// is what "acknowledging an epoch" means — callers must not report an
-// epoch as committed until Commit returns.
+// is what "acknowledging an epoch" means under a window > 0 — callers
+// must not report an epoch as committed until Commit returns. With
+// window <= 0 every frame is already durable, so Commit only reports the
+// sticky error.
 //
-// Under a storage fault the barrier is exact: every Commit whose records
+// Under a storage fault the barrier is exact: every Commit whose frames
 // were lost in the failed flush window returns the *WALPoisonedError (the
 // epoch was never acknowledged, so recovery correctly omits it), while a
-// Commit whose records were already durable before the fault returns nil
+// Commit whose frames were already durable before the fault returns nil
 // — those epochs were acknowledged by an earlier successful sync and
 // survive recovery.
 func (l *WAL) Commit() error {
@@ -268,7 +315,7 @@ func (l *WAL) Commit() error {
 	defer l.mu.Unlock()
 	target := l.lsn
 	for l.err == nil && l.durable < target {
-		if !l.grouped || l.closed {
+		if l.kick == nil || l.closed {
 			l.flushLocked()
 			break
 		}
@@ -284,8 +331,8 @@ func (l *WAL) Commit() error {
 	return l.err
 }
 
-// Close stops the group flusher (if any) and flushes outstanding records.
-// Further appends fail with ErrWALClosed.
+// Close stops the background flusher (if any) and flushes outstanding
+// frames. Further appends fail with ErrWALClosed.
 func (l *WAL) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -293,9 +340,8 @@ func (l *WAL) Close() error {
 		return l.err
 	}
 	l.closed = true
-	grouped := l.grouped
 	l.mu.Unlock()
-	if grouped {
+	if l.done != nil {
 		close(l.done)
 		l.wg.Wait()
 	}
@@ -305,91 +351,45 @@ func (l *WAL) Close() error {
 	return l.err
 }
 
-// RecordsFromDelta converts one committed epoch's Delta into its WAL
-// representation: the epoch's ops in apply order, closed by a commit
-// marker carrying the epoch number.
-func RecordsFromDelta(d *graph.Delta) []Record {
-	recs := make([]Record, 0, len(d.Ops)+1)
-	for _, op := range d.Ops {
-		switch op.Kind {
-		case graph.OpAddNode:
-			recs = append(recs, Record{
-				Op: OpAddNode, ID: int64(op.Node.ID),
-				Labels: op.Node.Labels, Props: walProps(op.Node.Props),
-			})
-		case graph.OpAddEdge:
-			recs = append(recs, Record{
-				Op: OpAddEdge, ID: int64(op.Edge.ID),
-				From: int64(op.Edge.From), To: int64(op.Edge.To),
-				Labels: op.Edge.Labels, Props: walProps(op.Edge.Props),
-			})
-		case graph.OpSetNodeProp:
-			recs = append(recs, Record{Op: OpSetNodeProp, ID: int64(op.ID), Key: op.Key, Value: walValue(op.Value)})
-		case graph.OpSetEdgeProp:
-			recs = append(recs, Record{Op: OpSetEdgeProp, ID: int64(op.ID), Key: op.Key, Value: walValue(op.Value)})
-		case graph.OpAddLabels:
-			recs = append(recs, Record{Op: OpAddLabels, ID: int64(op.ID), Labels: op.Labels})
-		case graph.OpRemoveNode:
-			recs = append(recs, Record{Op: OpRemoveNode, ID: int64(op.ID)})
-		case graph.OpRemoveEdge:
-			recs = append(recs, Record{Op: OpRemoveEdge, ID: int64(op.ID)})
-		}
-	}
-	return append(recs, Record{Op: OpCommit, Epoch: d.Epoch})
-}
-
-// AttachWAL subscribes the WAL to the graph's commit stream: every epoch's
-// ops and commit marker are appended (in epoch order) as it commits. With
-// a group WAL this is the high-throughput path — epochs buffer and share
-// fsyncs; call wal.Commit() where durability must be acknowledged. Append
-// errors latch into the WAL's sticky error (visible via Err/Commit). The
-// returned function detaches the subscription.
+// AttachWAL subscribes the WAL to the graph's commit stream: every epoch
+// is appended as one frame, in epoch order, on the committing goroutine.
+// With window <= 0 the epoch is therefore durable before its commit
+// returns; with a larger window, call wal.Commit() where durability must
+// be acknowledged. Append errors latch into the WAL's sticky error
+// (visible via Err/Commit). The returned function detaches the
+// subscription.
 func AttachWAL(g *graph.Graph, wal *WAL) (detach func()) {
 	return g.OnCommit(func(d *graph.Delta) {
-		for _, rec := range RecordsFromDelta(d) {
-			if wal.Append(rec) != nil {
-				return
-			}
-		}
+		_ = wal.Append(d) // a failure latches into the WAL's sticky error
 	})
 }
 
-// BootstrapRecords renders the graph's entire current state as one
-// marker-closed epoch: every node then every edge in ascending ID order,
-// closed by a commit marker at the graph's current epoch. Replaying just
-// these records reproduces the graph — they are the opening epoch of a
-// fresh WAL for a graph that already has history.
-func BootstrapRecords(g *graph.Graph) []Record {
-	var recs []Record
+// bootstrapDelta renders the graph's entire current state as one epoch:
+// every node then every edge, at the graph's current epoch number.
+// Recovering just its frame reproduces the graph, so it opens a fresh WAL
+// for a graph that already has history.
+func bootstrapDelta(g *graph.Graph) *graph.Delta {
+	d := &graph.Delta{Epoch: g.Epoch()}
 	g.ForEachNode(func(n *graph.Node) {
-		recs = append(recs, Record{
-			Op: OpAddNode, ID: int64(n.ID),
-			Labels: n.Labels, Props: walProps(n.Props),
-		})
+		d.Ops = append(d.Ops, graph.Op{Kind: graph.OpAddNode, Node: n})
 	})
 	g.ForEachEdge(func(e *graph.Edge) {
-		recs = append(recs, Record{
-			Op: OpAddEdge, ID: int64(e.ID),
-			From: int64(e.From), To: int64(e.To),
-			Labels: e.Labels, Props: walProps(e.Props),
-		})
+		d.Ops = append(d.Ops, graph.Op{Kind: graph.OpAddEdge, Edge: e})
 	})
-	return append(recs, Record{Op: OpCommit, Epoch: g.Epoch()})
+	return d
 }
 
 // ReattachWAL resumes durable logging on a fresh WAL after the previous
 // one was poisoned by a storage fault: it writes the graph's full current
-// state as a bootstrap epoch (BootstrapRecords), waits for it to be
-// durable, then attaches the commit subscription — so recovering the new
-// log alone restores everything, including the epochs the poisoned log
-// lost. The caller must quiesce writers between detaching the old WAL and
-// ReattachWAL returning, or concurrently committed epochs may predate the
+// state as a bootstrap epoch, waits for it to be durable, then attaches
+// the commit subscription — so recovering the new log alone restores
+// everything, including the epochs the poisoned log lost. The caller must
+// quiesce writers between detaching the old WAL and ReattachWAL
+// returning, or concurrently committed epochs may predate the
 // subscription and go unlogged.
 func ReattachWAL(g *graph.Graph, wal *WAL) (detach func(), err error) {
-	for _, rec := range BootstrapRecords(g) {
-		if err := wal.Append(rec); err != nil {
-			return nil, err
-		}
+	if err := wal.Append(bootstrapDelta(g)); err != nil {
+		return nil, err
 	}
 	if err := wal.Commit(); err != nil {
 		return nil, err
@@ -397,357 +397,117 @@ func ReattachWAL(g *graph.Graph, wal *WAL) (detach func(), err error) {
 	return AttachWAL(g, wal), nil
 }
 
-// LoggedGraph wraps a Graph so that every mutation is appended to a WAL as
-// its own marker-closed epoch, with a durability barrier before the call
-// returns: when a LoggedGraph mutator reports success, the mutation is on
-// stable storage. Memory is primary — the mutation is applied to the graph
-// first, then logged (a crash between the two loses only unacknowledged
-// work, which recovery correctly omits).
-type LoggedGraph struct {
-	*graph.Graph
-	wal *WAL
-}
-
-// NewLoggedGraph wraps g with WAL capture.
-func NewLoggedGraph(g *graph.Graph, wal *WAL) *LoggedGraph {
-	return &LoggedGraph{Graph: g, wal: wal}
-}
-
-// WAL returns the underlying log.
-func (lg *LoggedGraph) WAL() *WAL { return lg.wal }
-
-// logEpoch appends recs plus a commit marker for the graph's current
-// epoch, then waits for durability.
-func (lg *LoggedGraph) logEpoch(recs ...Record) error {
-	for _, rec := range recs {
-		if err := lg.wal.Append(rec); err != nil {
-			return err
-		}
-	}
-	if err := lg.wal.Append(Record{Op: OpCommit, Epoch: lg.Graph.Epoch()}); err != nil {
-		return err
-	}
-	return lg.wal.Commit()
-}
-
-// AddNode logs then applies a node insertion.
-func (lg *LoggedGraph) AddNode(labels []string, props graph.Props) (*graph.Node, error) {
-	n := lg.Graph.AddNode(labels, props)
-	err := lg.logEpoch(Record{Op: OpAddNode, ID: int64(n.ID), Labels: n.Labels, Props: walProps(n.Props)})
-	return n, err
-}
-
-// AddEdge logs then applies an edge insertion.
-func (lg *LoggedGraph) AddEdge(from, to graph.ID, labels []string, props graph.Props) (*graph.Edge, error) {
-	e, err := lg.Graph.AddEdge(from, to, labels, props)
-	if err != nil {
-		return nil, err
-	}
-	err = lg.logEpoch(Record{
-		Op: OpAddEdge, ID: int64(e.ID), From: int64(from), To: int64(to),
-		Labels: e.Labels, Props: walProps(e.Props),
-	})
-	return e, err
-}
-
-// SetNodeProp logs then applies a node property update.
-func (lg *LoggedGraph) SetNodeProp(id graph.ID, key string, v graph.Value) error {
-	if err := lg.Graph.SetNodeProp(id, key, v); err != nil {
-		return err
-	}
-	return lg.logEpoch(Record{Op: OpSetNodeProp, ID: int64(id), Key: key, Value: walValue(v)})
-}
-
-// SetEdgeProp logs then applies an edge property update.
-func (lg *LoggedGraph) SetEdgeProp(id graph.ID, key string, v graph.Value) error {
-	if err := lg.Graph.SetEdgeProp(id, key, v); err != nil {
-		return err
-	}
-	return lg.logEpoch(Record{Op: OpSetEdgeProp, ID: int64(id), Key: key, Value: walValue(v)})
-}
-
-// AddNodeLabels logs then applies a label addition.
-func (lg *LoggedGraph) AddNodeLabels(id graph.ID, labels ...string) error {
-	if err := lg.Graph.AddNodeLabels(id, labels...); err != nil {
-		return err
-	}
-	return lg.logEpoch(Record{Op: OpAddLabels, ID: int64(id), Labels: labels})
-}
-
-// RemoveNode logs then applies a node removal.
-func (lg *LoggedGraph) RemoveNode(id graph.ID) error {
-	lg.Graph.RemoveNode(id)
-	return lg.logEpoch(Record{Op: OpRemoveNode, ID: int64(id)})
-}
-
-// RemoveEdge logs then applies an edge removal.
-func (lg *LoggedGraph) RemoveEdge(id graph.ID) error {
-	lg.Graph.RemoveEdge(id)
-	return lg.logEpoch(Record{Op: OpRemoveEdge, ID: int64(id)})
-}
-
-// LoggedBatch is a graph.Batch whose commit is written to the WAL as one
-// marker-closed epoch — the exact ops the commit applied, cascades
-// included — with a durability barrier before Commit returns.
-type LoggedBatch struct {
-	lg *LoggedGraph
-	b  *graph.Batch
-}
-
-// NewBatch starts a logged write batch.
-func (lg *LoggedGraph) NewBatch() *LoggedBatch {
-	return &LoggedBatch{lg: lg, b: lg.Graph.NewBatch()}
-}
-
-// AddNode buffers a node insertion (see graph.Batch.AddNode).
-func (lb *LoggedBatch) AddNode(labels []string, props graph.Props) *graph.Node {
-	return lb.b.AddNode(labels, props)
-}
-
-// AddEdge buffers an edge insertion (see graph.Batch.AddEdge).
-func (lb *LoggedBatch) AddEdge(from, to graph.ID, labels []string, props graph.Props) (*graph.Edge, error) {
-	return lb.b.AddEdge(from, to, labels, props)
-}
-
-// SetNodeProp buffers a node property update.
-func (lb *LoggedBatch) SetNodeProp(id graph.ID, key string, v graph.Value) {
-	lb.b.SetNodeProp(id, key, v)
-}
-
-// SetEdgeProp buffers an edge property update.
-func (lb *LoggedBatch) SetEdgeProp(id graph.ID, key string, v graph.Value) {
-	lb.b.SetEdgeProp(id, key, v)
-}
-
-// AddNodeLabels buffers a label addition.
-func (lb *LoggedBatch) AddNodeLabels(id graph.ID, labels ...string) {
-	lb.b.AddNodeLabels(id, labels...)
-}
-
-// RemoveNode buffers a node removal.
-func (lb *LoggedBatch) RemoveNode(id graph.ID) { lb.b.RemoveNode(id) }
-
-// RemoveEdge buffers an edge removal.
-func (lb *LoggedBatch) RemoveEdge(id graph.ID) { lb.b.RemoveEdge(id) }
-
-// Commit applies the batch as one graph epoch, logs the epoch's ops and
-// commit marker, and returns after the epoch is durable. The delta is
-// returned even when logging fails (the memory commit already happened);
-// the error then reports the durability failure.
-func (lb *LoggedBatch) Commit() (*graph.Delta, error) {
-	d, err := lb.b.Commit()
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range RecordsFromDelta(d) {
-		if err := lb.lg.wal.Append(rec); err != nil {
-			return d, err
-		}
-	}
-	return d, lb.lg.wal.Commit()
-}
-
-// applyRecord applies one mutation record to g, remapping logged IDs to
-// the replayed graph's IDs. Commit markers carry no mutation and must be
-// filtered by the caller.
-func applyRecord(g *graph.Graph, rec Record, nodeMap, edgeMap map[int64]graph.ID) error {
-	switch rec.Op {
-	case OpAddNode:
-		props, err := anyToProps(rec.Props)
-		if err != nil {
-			return err
-		}
-		n := g.AddNode(rec.Labels, props)
-		nodeMap[rec.ID] = n.ID
-	case OpAddEdge:
-		props, err := anyToProps(rec.Props)
-		if err != nil {
-			return err
-		}
-		from, ok1 := nodeMap[rec.From]
-		to, ok2 := nodeMap[rec.To]
-		if !ok1 || !ok2 {
-			return fmt.Errorf("unknown endpoint")
-		}
-		e, err := g.AddEdge(from, to, rec.Labels, props)
-		if err != nil {
-			return err
-		}
-		edgeMap[rec.ID] = e.ID
-	case OpSetNodeProp:
-		id, ok := nodeMap[rec.ID]
-		if !ok {
-			return fmt.Errorf("unknown node %d", rec.ID)
-		}
-		v, err := anyToValue(rec.Value)
-		if err != nil {
-			return err
-		}
-		return g.SetNodeProp(id, rec.Key, v)
-	case OpSetEdgeProp:
-		id, ok := edgeMap[rec.ID]
-		if !ok {
-			return fmt.Errorf("unknown edge %d", rec.ID)
-		}
-		v, err := anyToValue(rec.Value)
-		if err != nil {
-			return err
-		}
-		return g.SetEdgeProp(id, rec.Key, v)
-	case OpAddLabels:
-		id, ok := nodeMap[rec.ID]
-		if !ok {
-			return fmt.Errorf("unknown node %d", rec.ID)
-		}
-		return g.AddNodeLabels(id, rec.Labels...)
-	case OpRemoveNode:
-		id, ok := nodeMap[rec.ID]
-		if !ok {
-			return fmt.Errorf("unknown node %d", rec.ID)
-		}
-		g.RemoveNode(id)
-	case OpRemoveEdge:
-		id, ok := edgeMap[rec.ID]
-		if !ok {
-			return fmt.Errorf("unknown edge %d", rec.ID)
-		}
-		g.RemoveEdge(id)
-	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
-	}
-	return nil
-}
-
-// Replay applies a WAL stream to an empty graph and returns it. Node and
-// edge IDs in the log are mapped to the replayed graph's IDs. Replay is
-// strict: any malformed record is an error. For crash recovery — tolerant
-// of a torn tail — use RecoverReplay.
-func Replay(name string, r io.Reader) (*graph.Graph, error) {
-	g := graph.New(name)
-	nodeMap := map[int64]graph.ID{}
-	edgeMap := map[int64]graph.ID{}
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	line := 0
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); errors.Is(err, io.EOF) {
-			return g, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("storage: wal line %d: %w", line, err)
-		}
-		line++
-		if rec.Op == OpCommit {
-			continue
-		}
-		if err := applyRecord(g, rec, nodeMap, edgeMap); err != nil {
-			return nil, fmt.Errorf("storage: wal line %d: %w", line, err)
-		}
-	}
-}
-
 // RecoveryInfo describes what RecoverReplay reconstructed.
 type RecoveryInfo struct {
-	Applied   int    // mutation records applied
-	Discarded int    // well-formed records discarded (uncommitted tail)
-	Epoch     uint64 // epoch of the last applied commit marker (0 if none)
-	Torn      bool   // the log ended in a torn/corrupt tail
+	Applied int    // ops applied
+	Epoch   uint64 // epoch number of the last applied frame (0 if none)
+	Torn    bool   // the log ended in a torn or corrupt frame
 }
 
-// RecoverReplay reconstructs a graph from a WAL that may have a torn tail
-// (a crash mid-write). It recovers the longest committed prefix:
+// RecoverReplay rebuilds a graph from a WAL that may end mid-write (a
+// crash). It applies the longest prefix of complete frames that pass
+// their CRC, each as one graph.Batch, so a recovered epoch is all or
+// nothing; the first frame that is cut short or fails its CRC ends the
+// prefix, and it and everything after it are dropped (Torn). Node and
+// edge IDs in the log are remapped to the rebuilt graph's.
 //
-//   - The well-formed prefix is the run of complete '\n'-terminated lines
-//     that unmarshal cleanly; a trailing fragment without '\n', or the
-//     first malformed line, ends it (Torn=true, everything after is lost).
-//   - Only records up to the last commit marker in the well-formed prefix
-//     are applied: a crash can never surface a half-epoch, and trailing
-//     records whose marker never hit the disk are discarded. (A log
-//     truncated before its first marker therefore recovers empty — it is
-//     indistinguishable from an epoch that never committed.)
-//
-// For legacy marker-less WALs — where every record was its own commit —
-// use RecoverReplayLegacy, which applies the entire well-formed prefix.
+// A frame that passes its CRC but does not decode or apply is an error,
+// not a torn tail: no crash writes one.
 func RecoverReplay(name string, r io.Reader) (*graph.Graph, RecoveryInfo, error) {
-	return recoverReplay(name, r, false)
-}
-
-// RecoverReplayLegacy recovers a marker-less WAL written before epoch
-// markers existed: the longest well-formed prefix is applied in full, a
-// torn tail is dropped. Do not use it on marker-bearing logs — it would
-// resurrect uncommitted trailing records.
-func RecoverReplayLegacy(name string, r io.Reader) (*graph.Graph, RecoveryInfo, error) {
-	return recoverReplay(name, r, true)
-}
-
-func recoverReplay(name string, r io.Reader, legacy bool) (*graph.Graph, RecoveryInfo, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("storage: recover: %w", err)
 	}
-	var recs []Record
-	info := RecoveryInfo{}
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			// Trailing fragment without its newline: torn mid-write.
+	rp := replayer{g: graph.New(name), nodes: map[graph.ID]graph.ID{}, edges: map[graph.ID]graph.ID{}}
+	var info RecoveryInfo
+	for frame := 0; len(data) > 0; frame++ {
+		payload, rest, ok := nextFrame(data)
+		if !ok {
 			info.Torn = true
 			break
 		}
-		line := data[:i]
-		data = data[i+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+		data = rest
+		epoch, n, err := rp.replay(payload)
+		if err != nil {
+			return nil, info, fmt.Errorf("storage: recover: frame %d: %w", frame, err)
 		}
-		var rec Record
-		if err := unmarshalRecord(line, &rec); err != nil {
-			info.Torn = true
-			break
-		}
-		recs = append(recs, rec)
+		info.Epoch = epoch
+		info.Applied += n
 	}
-
-	// Everything after the last commit marker is an unacknowledged (hence
-	// uncommitted) tail — unless this is a legacy marker-less log, where
-	// every record was its own commit.
-	keep := recs
-	if !legacy {
-		lastMarker := -1
-		for i, rec := range recs {
-			if rec.Op == OpCommit {
-				lastMarker = i
-			}
-		}
-		keep = recs[:lastMarker+1]
-	}
-	info.Discarded = len(recs) - len(keep)
-
-	g := graph.New(name)
-	nodeMap := map[int64]graph.ID{}
-	edgeMap := map[int64]graph.ID{}
-	for i, rec := range keep {
-		if rec.Op == OpCommit {
-			info.Epoch = rec.Epoch
-			continue
-		}
-		if err := applyRecord(g, rec, nodeMap, edgeMap); err != nil {
-			return nil, info, fmt.Errorf("storage: recover: record %d: %w", i, err)
-		}
-		info.Applied++
-	}
-	return g, info, nil
+	return rp.g, info, nil
 }
 
-// unmarshalRecord decodes one WAL line with number fidelity and rejects
-// trailing garbage (a sign of a torn write landing mid-line).
-func unmarshalRecord(line []byte, rec *Record) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.UseNumber()
-	if err := dec.Decode(rec); err != nil {
-		return err
+// replayer applies frames to g, mapping the log's node and edge IDs to
+// g's.
+type replayer struct {
+	g            *graph.Graph
+	nodes, edges map[graph.ID]graph.ID
+}
+
+// replay commits one frame's payload as one batch and returns its epoch
+// number and op count.
+func (rp *replayer) replay(payload []byte) (epoch uint64, ops int, err error) {
+	r := bytes.NewReader(payload)
+	if epoch, err = readUvarint(r); err != nil {
+		return 0, 0, err
 	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after record")
+	b := rp.g.NewBatch()
+	for ; r.Len() > 0; ops++ {
+		op, err := readOp(r)
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := rp.stage(b, &op); err != nil {
+			return 0, 0, err
+		}
+	}
+	if _, err := b.Commit(); err != nil {
+		return 0, 0, err
+	}
+	return epoch, ops, nil
+}
+
+// stage buffers one logged op on b, translating its IDs.
+func (rp *replayer) stage(b *graph.Batch, op *graph.Op) error {
+	switch op.Kind {
+	case graph.OpAddNode:
+		rp.nodes[op.Node.ID] = b.AddNode(op.Node.Labels, op.Node.Props).ID
+		return nil
+	case graph.OpAddEdge:
+		from, ok1 := rp.nodes[op.Edge.From]
+		to, ok2 := rp.nodes[op.Edge.To]
+		if !ok1 || !ok2 {
+			return fmt.Errorf("edge %d: unknown endpoint", op.Edge.ID)
+		}
+		e, err := b.AddEdge(from, to, op.Edge.Labels, op.Edge.Props)
+		if err != nil {
+			return err
+		}
+		rp.edges[op.Edge.ID] = e.ID
+		return nil
+	case graph.OpSetEdgeProp, graph.OpRemoveEdge:
+		id, ok := rp.edges[op.ID]
+		if !ok {
+			return fmt.Errorf("unknown edge %d", op.ID)
+		}
+		if op.Kind == graph.OpRemoveEdge {
+			b.RemoveEdge(id)
+		} else {
+			b.SetEdgeProp(id, op.Key, op.Value)
+		}
+		return nil
+	}
+	id, ok := rp.nodes[op.ID]
+	if !ok {
+		return fmt.Errorf("unknown node %d", op.ID)
+	}
+	switch op.Kind {
+	case graph.OpSetNodeProp:
+		b.SetNodeProp(id, op.Key, op.Value)
+	case graph.OpAddLabels:
+		b.AddNodeLabels(id, op.Labels...)
+	case graph.OpRemoveNode:
+		b.RemoveNode(id)
 	}
 	return nil
 }

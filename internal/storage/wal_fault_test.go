@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -41,7 +40,7 @@ func (m *memSink) SyncedBytes() []byte {
 	return append([]byte(nil), m.buf.Bytes()[:m.synced]...)
 }
 
-// faultScenario is one deterministic multi-epoch run against a group WAL
+// faultScenario is one deterministic multi-epoch run against a WAL
 // behind a FaultSink.
 type faultScenario struct {
 	g     *graph.Graph
@@ -54,8 +53,9 @@ type faultScenario struct {
 }
 
 // runFaultScenario drives a fixed mutation script — adds, edges, property
-// sets, each its own epoch with a Commit barrier — through a group WAL
-// whose sink carries the given fault schedule. Commit errors must be the
+// sets, each its own epoch, synced as it commits, then acknowledged by a
+// Commit barrier — through a window-0 WAL whose sink carries the given
+// fault schedule. Commit errors must be the
 // typed poison; panics and hangs are failures by construction.
 func runFaultScenario(t *testing.T, schedule map[int]Fault) *faultScenario {
 	t.Helper()
@@ -70,7 +70,7 @@ func runFaultScenario(t *testing.T, schedule map[int]Fault) *faultScenario {
 	for op, f := range schedule {
 		s.sink.Schedule(op, f)
 	}
-	s.wal = NewGroupWAL(s.sink, 0) // flush only on Commit barriers
+	s.wal = NewGroupWAL(s.sink, 0) // each epoch synced as it commits
 	detach := AttachWAL(s.g, s.wal)
 	defer detach()
 
@@ -107,7 +107,7 @@ func runFaultScenario(t *testing.T, schedule map[int]Fault) *faultScenario {
 }
 
 // verifyScenario checks the durability contract against the synced disk
-// prefix: recovery restores exactly a marker-closed prefix, every acked
+// prefix: recovery restores exactly a prefix of whole epochs, every acked
 // epoch is inside it, and the graph still serves reads (and non-logged
 // writes) regardless of poisoning.
 func verifyScenario(t *testing.T, s *faultScenario, label string) {
@@ -204,21 +204,6 @@ func TestWALFaultRandomSchedules(t *testing.T) {
 	}
 }
 
-// recordLines marshals records as the JSON-lines stream a WAL would hold.
-func recordLines(t *testing.T, recs []Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, rec := range recs {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}
-
 // TestReattachWALResumesDurability: after a fault poisons the WAL, the
 // graph keeps serving (reads and writes), and ReattachWAL on a fresh sink
 // bootstraps the full state so the new log alone recovers everything —
@@ -263,12 +248,9 @@ func TestReattachWALResumesDurability(t *testing.T) {
 	if info.Epoch != s.g.Epoch() {
 		t.Fatalf("recovered epoch %d, want %d", info.Epoch, s.g.Epoch())
 	}
-	// Normalize the live graph through its own bootstrap stream so IDs are
+	// Normalize the live graph through its own bootstrap frame so IDs are
 	// replay-remapped identically, then compare renders.
-	want, err := Replay("fault", bytes.NewReader(recordLines(t, BootstrapRecords(s.g))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := recoverWhole(t, "fault", logOf(t, bootstrapDelta(s.g)))
 	if renderGraph(t, rec) != renderGraph(t, want) {
 		t.Fatal("recovery of the reattached WAL != live graph state")
 	}

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -103,28 +105,56 @@ func valuesEqualExact(t *testing.T, path string, want, got graph.Value) {
 	}
 }
 
-// TestWALRoundTripFidelity pins the satellite fix: Append -> Replay is
+// loggedGraph returns a graph whose epochs are logged, one frame each, to
+// the returned buffer by a window-0 WAL.
+func loggedGraph(name string) (*graph.Graph, *bytes.Buffer) {
+	var buf bytes.Buffer
+	g := graph.New(name)
+	AttachWAL(g, NewGroupWAL(&buf, 0))
+	return g, &buf
+}
+
+// logOf writes the given epochs as a WAL and returns its bytes.
+func logOf(t testing.TB, ds ...*graph.Delta) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	wal := NewGroupWAL(&buf, 0)
+	for _, d := range ds {
+		if err := wal.Append(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// recoverWhole recovers a log that must be whole: no error, no torn tail.
+func recoverWhole(t testing.TB, name string, data []byte) *graph.Graph {
+	t.Helper()
+	g, info, err := RecoverReplay(name, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Torn {
+		t.Fatalf("whole log recovered as torn: %+v", info)
+	}
+	return g
+}
+
+// TestWALRoundTripFidelity pins value fidelity: log -> recover is
 // value-identical (kind AND bits) for int/float/bool/string/list props —
 // whole floats stay floats, big int64s keep every bit.
 func TestWALRoundTripFidelity(t *testing.T) {
-	var buf bytes.Buffer
-	lg := NewLoggedGraph(graph.New("fid"), NewWAL(&buf))
+	g, buf := loggedGraph("fid")
 	props := fidelityProps()
-	n, err := lg.AddNode([]string{"N"}, props)
-	if err != nil {
+	n := g.AddNode([]string{"N"}, props)
+	if err := g.SetNodeProp(n.ID, "set-whole", graph.NewFloat(7.0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := lg.SetNodeProp(n.ID, "set-whole", graph.NewFloat(7.0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.SetNodeProp(n.ID, "set-big", graph.NewInt(1<<61)); err != nil {
+	if err := g.SetNodeProp(n.ID, "set-big", graph.NewInt(1<<61)); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := Replay("fid", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := recoverWhole(t, "fid", buf.Bytes())
 	rn := got.Node(got.Nodes()[0])
 	for k, want := range props {
 		valuesEqualExact(t, k, want, rn.Prop(k))
@@ -134,7 +164,7 @@ func TestWALRoundTripFidelity(t *testing.T) {
 }
 
 // TestWALRoundTripFidelityProperty fuzzes random value trees through
-// Append -> Replay and demands exact identity.
+// log -> recover and demands exact identity.
 func TestWALRoundTripFidelityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var randomValue func(depth int) graph.Value
@@ -165,19 +195,13 @@ func TestWALRoundTripFidelityProperty(t *testing.T) {
 	}
 
 	for trial := 0; trial < 50; trial++ {
-		var buf bytes.Buffer
-		lg := NewLoggedGraph(graph.New("prop"), NewWAL(&buf))
+		g, buf := loggedGraph("prop")
 		props := graph.Props{}
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			props[fmt.Sprintf("k%d", i)] = randomValue(0)
 		}
-		if _, err := lg.AddNode([]string{"N"}, props); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Replay("prop", bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		g.AddNode([]string{"N"}, props)
+		got := recoverWhole(t, "prop", buf.Bytes())
 		rn := got.Node(got.Nodes()[0])
 		for k, want := range props {
 			valuesEqualExact(t, fmt.Sprintf("trial %d %s", trial, k), want, rn.Prop(k))
@@ -187,59 +211,49 @@ func TestWALRoundTripFidelityProperty(t *testing.T) {
 
 // buildEpochLog writes a WAL with a mix of single-mutator epochs and a
 // multi-op batch epoch (with a cascading removal), returning the log bytes.
-func buildEpochLog(t *testing.T) []byte {
+func buildEpochLog(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	lg := NewLoggedGraph(graph.New("crash"), NewWAL(&buf))
-	a, err := lg.AddNode([]string{"User"}, graph.Props{"id": graph.NewInt(1), "w": graph.NewFloat(1.0)})
-	if err != nil {
+	g, buf := loggedGraph("crash")
+	a := g.AddNode([]string{"User"}, graph.Props{"id": graph.NewInt(1), "w": graph.NewFloat(1.0)})
+	bNode := g.AddNode([]string{"Tweet"}, nil)
+	if _, err := g.AddEdge(a.ID, bNode.ID, []string{"POSTS"}, graph.Props{"at": graph.NewInt(7)}); err != nil {
 		t.Fatal(err)
 	}
-	bNode, _ := lg.AddNode([]string{"Tweet"}, nil)
-	if _, err := lg.AddEdge(a.ID, bNode.ID, []string{"POSTS"}, graph.Props{"at": graph.NewInt(7)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.SetNodeProp(a.ID, "name", graph.NewString("alice")); err != nil {
+	if err := g.SetNodeProp(a.ID, "name", graph.NewString("alice")); err != nil {
 		t.Fatal(err)
 	}
 
 	// One batch epoch: adds, an edge, a prop, and a cascading removal.
-	lb := lg.NewBatch()
-	c := lb.AddNode([]string{"Temp"}, nil)
-	d := lb.AddNode([]string{"User"}, graph.Props{"id": graph.NewInt(2)})
-	if _, err := lb.AddEdge(c.ID, d.ID, []string{"REF"}, nil); err != nil {
+	b := g.NewBatch()
+	c := b.AddNode([]string{"Temp"}, nil)
+	d := b.AddNode([]string{"User"}, graph.Props{"id": graph.NewInt(2)})
+	if _, err := b.AddEdge(c.ID, d.ID, []string{"REF"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	lb.SetNodeProp(d.ID, "name", graph.NewString("bob"))
-	lb.RemoveNode(c.ID) // cascades over the REF edge inside the same epoch
-	if _, err := lb.Commit(); err != nil {
+	b.SetNodeProp(d.ID, "name", graph.NewString("bob"))
+	b.RemoveNode(c.ID) // cascades over the REF edge inside the same epoch
+	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := lg.AddNodeLabels(a.ID, "Admin"); err != nil {
+	if err := g.AddNodeLabels(a.ID, "Admin"); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// committedPrefixEnds returns the byte offsets just past each commit
-// marker's newline — the valid recovery points of the log.
-func committedPrefixEnds(t *testing.T, data []byte) []int {
+// frameEnds returns the byte offset just past each frame of a whole log —
+// the valid recovery points.
+func frameEnds(t *testing.T, data []byte) []int {
 	t.Helper()
 	var ends []int
-	off := 0
-	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	for rest := data; len(rest) > 0; {
+		_, next, ok := nextFrame(rest)
+		if !ok {
+			t.Fatalf("bad frame at offset %d", len(data)-len(rest))
 		}
-		off += len(line)
-		var rec Record
-		if err := unmarshalRecord(bytes.TrimSuffix(line, []byte("\n")), &rec); err != nil {
-			t.Fatalf("bad log line: %v", err)
-		}
-		if rec.Op == OpCommit {
-			ends = append(ends, off)
-		}
+		rest = next
+		ends = append(ends, len(data)-len(rest))
 	}
 	return ends
 }
@@ -255,27 +269,24 @@ func renderGraph(t *testing.T, g *graph.Graph) string {
 
 // TestCrashRecoveryEveryOffset simulates a torn WAL tail at EVERY byte
 // offset of the log and asserts RecoverReplay reconstructs exactly the
-// longest committed prefix that fully fits — never a half-epoch, never
-// less than the last durable commit marker.
+// longest run of complete frames that fits — never a half-epoch, never
+// less than the last complete frame — and reports Torn exactly when the
+// cut falls off a frame boundary.
 func TestCrashRecoveryEveryOffset(t *testing.T) {
 	data := buildEpochLog(t)
-	ends := committedPrefixEnds(t, data)
+	ends := frameEnds(t, data)
 	if len(ends) < 3 {
-		t.Fatalf("log has %d commit markers, want several", len(ends))
+		t.Fatalf("log has %d frames, want several", len(ends))
 	}
 
-	// Reference graphs: strict replay of each committed prefix.
+	// Reference graphs: recovery of each whole prefix.
 	refs := map[int]string{0: renderGraph(t, graph.New("crash"))}
 	for _, end := range ends {
-		g, err := Replay("crash", bytes.NewReader(data[:end]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[end] = renderGraph(t, g)
+		refs[end] = renderGraph(t, recoverWhole(t, "crash", data[:end]))
 	}
 
 	for cut := 0; cut <= len(data); cut++ {
-		// The expected recovery point: last marker end <= cut.
+		// The expected recovery point: last frame end <= cut.
 		want := 0
 		for _, end := range ends {
 			if end <= cut {
@@ -287,57 +298,136 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if got := renderGraph(t, g); got != refs[want] {
-			t.Fatalf("cut %d: recovered graph != committed prefix (want prefix end %d)\n got: %s\nwant: %s",
+			t.Fatalf("cut %d: recovered graph != whole-frame prefix (want prefix end %d)\n got: %s\nwant: %s",
 				cut, want, got, refs[want])
 		}
-		wantTorn := cut > 0 && data[cut-1] != '\n'
-		if info.Torn != wantTorn {
+		if wantTorn := cut != want; info.Torn != wantTorn {
 			t.Errorf("cut %d: Torn = %v, want %v", cut, info.Torn, wantTorn)
 		}
 	}
 }
 
-// TestRecoverReplayMidFileCorruption flips bytes mid-log: recovery keeps
-// the committed prefix before the corrupt line and discards the rest.
+// TestRecoverReplayMidFileCorruption flips each byte of the third frame in
+// turn: the CRC (or the length check) catches every flip, and recovery
+// keeps exactly the two frames before it and drops the rest.
 func TestRecoverReplayMidFileCorruption(t *testing.T) {
 	data := buildEpochLog(t)
-	ends := committedPrefixEnds(t, data)
-	corruptAt := ends[1] + 3 // inside the record after the 2nd marker
-	mut := append([]byte(nil), data...)
-	mut[corruptAt] = 0x01
+	ends := frameEnds(t, data)
+	want := renderGraph(t, recoverWhole(t, "crash", data[:ends[1]]))
+	for at := ends[1]; at < ends[2]; at++ {
+		mut := append([]byte(nil), data...)
+		mut[at] ^= 0xff
 
-	g, info, err := RecoverReplay("crash", bytes.NewReader(mut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Torn {
-		t.Error("corruption not flagged as torn")
-	}
-	want, err := Replay("crash", bytes.NewReader(data[:ends[1]]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderGraph(t, g) != renderGraph(t, want) {
-		t.Error("recovery after corruption != committed prefix before it")
+		g, info, err := RecoverReplay("crash", bytes.NewReader(mut))
+		if err != nil {
+			t.Fatalf("flip at %d: %v", at, err)
+		}
+		if !info.Torn {
+			t.Errorf("flip at %d: corruption not flagged as torn", at)
+		}
+		if renderGraph(t, g) != want {
+			t.Errorf("flip at %d: recovery after corruption != the frames before it", at)
+		}
 	}
 }
 
-// TestRecoverReplayLegacyLog: a marker-less log (every record its own
-// commit) recovers the whole well-formed prefix, torn fragment dropped.
-func TestRecoverReplayLegacyLog(t *testing.T) {
-	legacy := `{"op":"add-node","id":0,"labels":["N"],"props":{"x":1}}
-{"op":"add-node","id":1,"labels":["N"]}
-{"op":"add-edge","id":0,"from":0,"to":1,"labels":["R"]}
-{"op":"add-node","id":2,"la`
-	g, info, err := RecoverReplayLegacy("legacy", bytes.NewReader([]byte(legacy)))
-	if err != nil {
-		t.Fatal(err)
+// TestRecoverReplayNeverAllocatesClaimedLength: a frame header claiming
+// far more bytes than the log holds is a torn tail, found without
+// allocating the claimed length.
+func TestRecoverReplayNeverAllocatesClaimedLength(t *testing.T) {
+	data := buildEpochLog(t)
+	whole := renderGraph(t, recoverWhole(t, "crash", data))
+	huge := append(append([]byte(nil), data...), binary.AppendUvarint(nil, 1<<40)...)
+	huge = append(huge, 1, 2, 3, 4, 5)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, info, err := RecoverReplay("crash", bytes.NewReader(huge))
+	runtime.ReadMemStats(&after)
+	if err != nil || !info.Torn {
+		t.Fatalf("huge claimed length: err %v, info %+v", err, info)
 	}
-	if !info.Torn || info.Applied != 3 {
-		t.Fatalf("legacy recovery: %+v", info)
+	if renderGraph(t, g) != whole {
+		t.Error("huge claimed length changed the recovered prefix")
 	}
-	if g.NodeCount() != 2 || g.EdgeCount() != 1 {
-		t.Fatalf("legacy graph: %d nodes %d edges", g.NodeCount(), g.EdgeCount())
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("recovery allocated %d bytes", grew)
+	}
+}
+
+// TestRecoverReplayZeroFilledTail: a crash can leave the file longer than
+// the data written to it, zero-filled; that tail is torn, not an error.
+func TestRecoverReplayZeroFilledTail(t *testing.T) {
+	data := buildEpochLog(t)
+	whole := renderGraph(t, recoverWhole(t, "crash", data))
+	for _, zeros := range []int{1, 5, 4096} {
+		g, info, err := RecoverReplay("crash", bytes.NewReader(append(data[:len(data):len(data)], make([]byte, zeros)...)))
+		if err != nil || !info.Torn || renderGraph(t, g) != whole {
+			t.Errorf("%d zero bytes: err %v, info %+v", zeros, err, info)
+		}
+	}
+}
+
+// FuzzRecoverReplay: arbitrary bytes never panic recovery, and the torn
+// flag agrees with an independent frame walk — a frame whose claimed
+// length is zero or runs past the input, or whose CRC fails, ends the
+// prefix as torn.
+// Each input is also wrapped in one valid frame, so the payload decoder
+// sees arbitrary bytes behind a passing CRC; it may reject them, but must
+// not panic.
+func FuzzRecoverReplay(f *testing.F) {
+	data := buildEpochLog(f)
+	f.Add(data)
+	f.Add(data[:len(data)-3])
+	f.Add([]byte{})
+	f.Add(binary.AppendUvarint(nil, 1<<62))
+	table := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wantTorn := false
+		for rest := data; len(rest) > 0; {
+			n, k := binary.Uvarint(rest)
+			if k <= 0 || n == 0 || len(rest)-k < 4 || n > uint64(len(rest)-k-4) {
+				wantTorn = true
+				break
+			}
+			body := rest[k+4 : k+4+int(n)]
+			if crc32.Checksum(body, table) != binary.LittleEndian.Uint32(rest[k:]) {
+				wantTorn = true
+				break
+			}
+			rest = rest[k+4+int(n):]
+		}
+		_, info, err := RecoverReplay("fuzz", bytes.NewReader(data))
+		if err == nil && info.Torn != wantTorn {
+			t.Fatalf("Torn = %v, want %v", info.Torn, wantTorn)
+		}
+		if _, info, err := RecoverReplay("fuzz", bytes.NewReader(appendFrame(nil, data))); err == nil && info.Torn != (len(data) == 0) {
+			t.Fatalf("one whole frame of %d bytes: Torn = %v", len(data), info.Torn)
+		}
+	})
+}
+
+// TestEagerWindowSyncsEachEpoch: with window 0 and no Commit or Close,
+// each epoch is synced before its commit returns, so the synced bytes
+// alone recover every committed epoch.
+func TestEagerWindowSyncsEachEpoch(t *testing.T) {
+	sink := &crashSink{}
+	wal := NewGroupWAL(sink, 0)
+	g := graph.New("eager")
+	defer AttachWAL(g, wal)()
+	for i := 1; i <= 3; i++ {
+		g.AddNode([]string{"N"}, graph.Props{"i": graph.NewInt(int64(i))})
+		got, info, err := RecoverReplay("eager", bytes.NewReader(sink.durableBytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Torn || info.Epoch != g.Epoch() || got.NodeCount() != i {
+			t.Fatalf("after %d commits the synced log recovers %d nodes (info %+v, graph epoch %d)",
+				i, got.NodeCount(), info, g.Epoch())
+		}
+	}
+	if sink.syncs != 3 {
+		t.Errorf("%d syncs for 3 epochs, want one each", sink.syncs)
 	}
 }
 
@@ -350,32 +440,36 @@ func TestGroupCommitNeverAcksUnflushedEpoch(t *testing.T) {
 	sink := &crashSink{}
 	wal := NewGroupWAL(sink, time.Hour)
 	defer wal.Close()
-	lg := NewLoggedGraph(graph.New("ack"), wal)
+	g := graph.New("ack")
+	defer AttachWAL(g, wal)()
 
 	var ids []graph.ID
 	for i := 0; i < 10; i++ {
-		lb := lg.NewBatch()
-		n := lb.AddNode([]string{"N"}, graph.Props{"i": graph.NewInt(int64(i))})
+		b := g.NewBatch()
+		n := b.AddNode([]string{"N"}, graph.Props{"i": graph.NewInt(int64(i))})
 		if len(ids) > 0 {
-			if _, err := lb.AddEdge(ids[len(ids)-1], n.ID, []string{"R"}, nil); err != nil {
+			if _, err := b.AddEdge(ids[len(ids)-1], n.ID, []string{"R"}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		d, err := lb.Commit() // ack: must imply durability
+		d, err := b.Commit()
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Commit(); err != nil { // ack: must imply durability
 			t.Fatal(err)
 		}
 		ids = append(ids, n.ID)
 
-		g, info, rerr := RecoverReplay("ack", bytes.NewReader(sink.durableBytes()))
+		rg, info, rerr := RecoverReplay("ack", bytes.NewReader(sink.durableBytes()))
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
 		if info.Epoch != d.Epoch {
 			t.Fatalf("iter %d: acked epoch %d but crash recovers epoch %d", i, d.Epoch, info.Epoch)
 		}
-		if g.NodeCount() != i+1 {
-			t.Fatalf("iter %d: crash recovers %d nodes", i, g.NodeCount())
+		if rg.NodeCount() != i+1 {
+			t.Fatalf("iter %d: crash recovers %d nodes", i, rg.NodeCount())
 		}
 	}
 	if sink.syncs == 0 {
@@ -383,8 +477,8 @@ func TestGroupCommitNeverAcksUnflushedEpoch(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces shows the point of group commit: many appends
-// from concurrent epochs share fsyncs instead of one sync per record.
+// TestGroupCommitCoalesces shows the point of group commit: many epochs
+// from concurrent writers share fsyncs instead of one sync per epoch.
 func TestGroupCommitCoalesces(t *testing.T) {
 	sink := &crashSink{}
 	wal := NewGroupWAL(sink, 2*time.Millisecond)
@@ -411,19 +505,15 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	records := writers * per * 2 // one op + one marker per epoch
-	if wal.Len() != records {
-		t.Fatalf("wal len = %d, want %d", wal.Len(), records)
+	const frames = writers * per // one frame per epoch
+	if wal.LSN() != frames {
+		t.Fatalf("wal frames = %d, want %d", wal.LSN(), frames)
 	}
-	if sink.syncs >= records {
-		t.Errorf("group commit did not coalesce: %d syncs for %d records", sink.syncs, records)
+	if sink.syncs >= frames {
+		t.Errorf("group commit did not coalesce: %d syncs for %d frames", sink.syncs, frames)
 	}
-	got, err := Replay("coalesce", bytes.NewReader(sink.allBytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NodeCount() != writers*per {
-		t.Fatalf("replayed %d nodes", got.NodeCount())
+	if got := recoverWhole(t, "coalesce", sink.allBytes()); got.NodeCount() != writers*per {
+		t.Fatalf("recovered %d nodes", got.NodeCount())
 	}
 }
 
@@ -432,7 +522,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 func TestGroupWALCloseAndErrors(t *testing.T) {
 	sink := &crashSink{}
 	wal := NewGroupWAL(sink, time.Hour)
-	if err := wal.Append(Record{Op: OpCommit, Epoch: 1}); err != nil {
+	if err := wal.Append(&graph.Delta{Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
@@ -441,7 +531,7 @@ func TestGroupWALCloseAndErrors(t *testing.T) {
 	if wal.Durable() != wal.LSN() {
 		t.Error("close did not flush")
 	}
-	if err := wal.Append(Record{Op: OpCommit}); err != ErrWALClosed {
+	if err := wal.Append(&graph.Delta{Epoch: 2}); err != ErrWALClosed {
 		t.Errorf("append after close: %v", err)
 	}
 	if err := wal.Commit(); err != nil {
@@ -449,57 +539,5 @@ func TestGroupWALCloseAndErrors(t *testing.T) {
 	}
 	if err := wal.Close(); err != nil {
 		t.Errorf("double close: %v", err)
-	}
-}
-
-// TestAttachWALMatchesLoggedGraph: the subscriber path and the explicit
-// LoggedGraph path produce replay-identical logs for the same mutations.
-func TestAttachWALMatchesLoggedGraph(t *testing.T) {
-	run := func(mutate func(addNode func(labels []string, props graph.Props) graph.ID)) string {
-		var buf bytes.Buffer
-		g := graph.New("m")
-		detach := AttachWAL(g, NewWAL(&buf))
-		defer detach()
-		mutate(func(labels []string, props graph.Props) graph.ID {
-			return g.AddNode(labels, props).ID
-		})
-		got, err := Replay("m", bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderGraph(t, got)
-	}
-	a := run(func(addNode func([]string, graph.Props) graph.ID) {
-		id := addNode([]string{"N"}, fidelityProps())
-		_ = id
-	})
-
-	var buf bytes.Buffer
-	lg := NewLoggedGraph(graph.New("m"), NewWAL(&buf))
-	if _, err := lg.AddNode([]string{"N"}, fidelityProps()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Replay("m", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderGraph(t, got) != a {
-		t.Error("AttachWAL log diverges from LoggedGraph log")
-	}
-}
-
-// TestRecordJSONStability pins the wire encoding of the fidelity-critical
-// value shapes.
-func TestRecordJSONStability(t *testing.T) {
-	b, err := json.Marshal(Record{Op: OpSetNodeProp, ID: 3, Key: "x", Value: walValue(graph.NewFloat(1.0))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(b, []byte(`{"$f":"1"}`)) {
-		t.Errorf("whole float encoding: %s", b)
-	}
-	b, _ = json.Marshal(Record{Op: OpSetNodeProp, ID: 3, Key: "x", Value: walValue(graph.NewInt(1 << 62))})
-	if !bytes.Contains(b, []byte(`4611686018427387904`)) {
-		t.Errorf("big int encoding: %s", b)
 	}
 }
