@@ -249,13 +249,14 @@ func NewGovernor(cfg GovernorConfig) *Governor { return governor.New(cfg) }
 // (cmd/graphd) and the cypher REPL are built on.
 type (
 	// QuerySession is a stateful query channel over one executor: Run
-	// returns a QueryCursor streaming records as the engine produces
-	// them, and Begin/Commit/Rollback bracket explicit single-writer
+	// returns a QueryCursor that executes the query as its records are
+	// read, and Begin/Commit/Rollback bracket explicit single-writer
 	// transactions with snapshot rollback. One in-flight cursor at a
 	// time; not safe for concurrent use.
 	QuerySession = cypher.Session
 	// QueryCursor iterates one result set: Next / Record / Columns /
-	// Err / Close / Summary. Closing early cancels the producing query.
+	// Err / Close / Summary. Closing early stops a read; a write still
+	// completes.
 	QueryCursor = cypher.Cursor
 )
 

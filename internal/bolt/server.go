@@ -11,9 +11,9 @@ package bolt
 // Every RUN flows through the engine Session API (internal/cypher), so
 // admission control, per-query budgets and transaction locking behave
 // identically over the wire and in-process. PULL streams records
-// straight off the session Cursor — client flow control (PULL n)
-// composes with the cursor's bounded channel, so a slow client
-// backpressures the scan itself.
+// straight off the session Cursor, which runs the query on this
+// connection's goroutine as rows are pulled — client flow control
+// (PULL n) suspends the scan itself between batches.
 
 import (
 	"bufio"

@@ -381,8 +381,8 @@ func (ex *Executor) Run(src string, params map[string]graph.Value) (*Result, err
 // and periodically inside pattern-matching scans, returning cctx.Err()
 // promptly once the context is done.
 //
-// RunCtx is the materializing shim over the Session/Cursor API
-// (session.go): it runs the same execution pipeline with a slice sink and
+// RunCtx is the materializing counterpart of the Session/Cursor API
+// (session.go): it runs the same execution pipeline into a slice and
 // returns the fully-collected Result. Callers that want
 // incremental row delivery, explicit transactions, or per-session state
 // should open a Session instead.
@@ -409,46 +409,73 @@ func (ex *Executor) Execute(q *Query, params map[string]graph.Value) (*Result, e
 	return ex.ExecuteCtx(context.Background(), q, params)
 }
 
-// ExecuteCtx is Execute with cancellation; see RunCtx.
+// ExecuteCtx is Execute with cancellation; see RunCtx. It runs the
+// query on the calling goroutine, through the same admission gate and
+// execution path as a Session's cursor (Executor.admit, Executor.execute).
 //
 // When the executor carries an admission controller (WithAdmission), the
 // query first acquires a slot — a full queue or queue timeout rejects it
-// with the controller's typed error before it touches the graph. When it
+// with the controller's typed error before it touches the graph. A
+// mutating query also holds the transaction lock shared, so it waits for
+// an open Session transaction rather than joining its write set. When it
 // carries resource budgets (WithMaxRows, WithMemoryBudget,
 // WithQueryDeadline), exceeding one kills the query with a typed
 // *ResourceExhaustedError carrying the partial ExecStats. A panic anywhere
 // in evaluation is recovered into a *PanicError instead of crashing the
 // process.
 func (ex *Executor) ExecuteCtx(cctx context.Context, q *Query, params map[string]graph.Value) (res *Result, err error) {
-	if ex.admission != nil {
-		done, aerr := ex.admission.Admit(cctx)
-		if aerr != nil {
-			return nil, aerr
-		}
-		defer func() { done(err) }()
+	release, err := ex.admit(cctx, q, false)
+	if err != nil {
+		return nil, err
 	}
-	return ex.executeProtected(cctx, q, params, nil)
+	defer func() { release(err) }()
+	var rows [][]Datum
+	res, err = ex.execute(cctx, q, params, func(row []Datum) error {
+		rows = append(rows, row)
+		return nil
+	})
+	if res != nil {
+		res.Rows = rows
+	}
+	return res, err
 }
 
-// executeProtected runs a query under the panic-recovery and
-// budget-stamping defers but outside admission: ExecuteCtx admits first,
-// and a Session's streaming run admits synchronously at Run before handing
-// execution to the cursor goroutine (see session.go).
-func (ex *Executor) executeProtected(cctx context.Context, q *Query, params map[string]graph.Value, sink *streamSink) (res *Result, err error) {
+// admit is the gate every run passes before it executes. A mutating run
+// outside a transaction takes the transaction lock shared, so it never
+// interleaves with an open explicit transaction (which holds it
+// exclusively); inside one (inTx) the session already holds the lock
+// exclusively, and RWMutex is not reentrant. Reads are untouched. Then the
+// admission controller, if any, grants a slot. The returned release frees
+// both and must be called exactly once, with the run's error.
+func (ex *Executor) admit(cctx context.Context, q *Query, inTx bool) (release func(error), err error) {
+	unlock, done := func() {}, func(error) {}
+	if !inTx && QueryMutates(q) {
+		if unlock, err = ex.lockTx(cctx, true); err != nil {
+			return nil, err
+		}
+	}
+	if ex.admission != nil {
+		if done, err = ex.admission.Admit(cctx); err != nil {
+			unlock()
+			return nil, err
+		}
+	}
+	return func(err error) {
+		done(err)
+		unlock()
+	}, nil
+}
+
+// execute runs q on the execution pipeline (pipeline.go), on the calling
+// goroutine, emitting each RETURN row to emit, under the panic-recovery
+// and budget-stamping defers. The caller has admitted the run.
+func (ex *Executor) execute(cctx context.Context, q *Query, params map[string]graph.Value, emit func([]Datum) error) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = recoverToError(p)
 		}
 		finishExhausted(err, res)
 	}()
-	return ex.executeGoverned(cctx, q, params, sink)
-}
-
-// executeGoverned is the body of ExecuteCtx, after admission and under
-// its panic-recovery and budget-stamping defers. It runs the query on the
-// execution pipeline (pipeline.go): result rows go to sink when one is
-// given — a Session's cursor — and to res.Rows otherwise.
-func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[string]graph.Value, sink *streamSink) (*Result, error) {
 	// Under WithSnapshotPin, a read-only query resolves the graph once to
 	// the current epoch's frozen snapshot: the whole scan observes exactly
 	// one epoch even while writers commit concurrently. Mutating queries
@@ -465,9 +492,9 @@ func (ex *Executor) executeGoverned(cctx context.Context, q *Query, params map[s
 	ctx := newEvalCtx(eg, params, m)
 	m.ctx = ctx
 
-	res := &Result{}
+	res = &Result{}
 	m.exec = &res.Exec
-	return res, ex.runPipeline(ctx, q, res, sink)
+	return res, ex.runPipeline(ctx, q, res, emit)
 }
 
 func clauseName(c Clause) string {

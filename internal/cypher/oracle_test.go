@@ -19,7 +19,9 @@ package cypher
 // counts and DISTINCT keys against it (see groupingQueries). The NaN arm
 // reruns the grid with every numeric literal of the MATCH clauses turned
 // into a NaN parameter (see nanParams), so a seek on a NaN bound must
-// agree with the scan. Queries are
+// agree with the scan. The cursor arm reads each query through two
+// Session cursors paged in turns on one configuration (see pagedRun); both
+// must reproduce Executor.Run's rows exactly. Queries are
 // checked from a worker pool over shared executors, so the oracle also
 // exercises the engine's only parallelism: concurrent serial queries on
 // one Executor.
@@ -32,6 +34,7 @@ package cypher
 //	GRAPHRULES_ORACLE_ARTIFACT  file to append failing query reproductions to
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -84,16 +87,53 @@ func oracleRun(ex *Executor, src string, params map[string]graph.Value) (rows []
 func renderRows(res *Result) []string {
 	rows := make([]string, 0, len(res.Rows))
 	for _, r := range res.Rows {
-		var b strings.Builder
-		for i, d := range r {
-			if i > 0 {
-				b.WriteByte('|')
-			}
-			b.Write(d.appendHashable(nil))
-		}
-		rows = append(rows, b.String())
+		rows = append(rows, renderRow(r))
 	}
 	return rows
+}
+
+func renderRow(r []Datum) string {
+	var b strings.Builder
+	for i, d := range r {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		b.Write(d.appendHashable(nil))
+	}
+	return b.String()
+}
+
+// pagedRun runs src on two sessions of ex at once and reads their cursors
+// in turns, a page of 1–7 rows from one, then from the other, so two
+// suspended runs interleave on one goroutine. Each result is rendered as
+// oracleRun renders it.
+func pagedRun(ex *Executor, src string, params map[string]graph.Value, rng *rand.Rand) (rows [2][]string, errStr [2]string) {
+	var curs [2]*Cursor
+	for i := range curs {
+		s := ex.OpenSession()
+		defer s.Close()
+		c, err := s.Run(context.Background(), src, params)
+		if err != nil {
+			errStr[i] = err.Error()
+			continue
+		}
+		curs[i] = c
+	}
+	for curs[0] != nil || curs[1] != nil {
+		for i, c := range curs {
+			for k := 1 + rng.Intn(7); c != nil && k > 0; k-- {
+				if c.Next() {
+					rows[i] = append(rows[i], renderRow(c.Record()))
+					continue
+				}
+				if err := c.Err(); err != nil {
+					rows[i], errStr[i] = nil, err.Error()
+				}
+				curs[i], c = nil, nil
+			}
+		}
+	}
+	return rows, errStr
 }
 
 func sortedCopy(rows []string) []string {
@@ -174,13 +214,31 @@ func TestDifferentialOracle(t *testing.T) {
 				next atomic.Int64
 				mu   sync.Mutex
 			)
-			checkQuery := func(q string) {
+			checkQuery := func(qi int, q string) {
 				fail := func(cfg, kind, detail string) {
 					mu.Lock()
 					defer mu.Unlock()
 					writeOracleArtifact(name, seed, cfg, q, detail)
 					t.Errorf("%s under %s (reproduce with GRAPHRULES_ORACLE_SEED=%d):\nquery: %s\n%s",
 						kind, cfg, seed, q, detail)
+				}
+				// cursorArm reads q through two interleaved paged cursors
+				// (pagedRun) on one configuration, the reference and the
+				// grid taking turns query by query; each cursor must give
+				// exactly the rows and error Executor.Run gave there.
+				arm := qi % (1 + len(oracleGrid))
+				cursorArm := func(ci int, cfg string, ex *Executor, want []string, wantErr string) bool {
+					if ci != arm {
+						return true
+					}
+					rows, errs := pagedRun(ex, q, nil, rand.New(rand.NewSource(seed+int64(qi))))
+					for i := range rows {
+						if errs[i] != wantErr || !rowsEqual(rows[i], want) {
+							fail(cfg, "cursor divergence", fmt.Sprintf("Executor.Run rows %v err=%q\npaged cursor %d rows %v err=%q", want, wantErr, i, rows[i], errs[i]))
+							return false
+						}
+					}
+					return true
 				}
 				// grid runs text on the reference and on every grid
 				// configuration; ok is false once it reported a divergence.
@@ -190,9 +248,15 @@ func TestDifferentialOracle(t *testing.T) {
 						at = fmt.Sprintf("rewritten: %s params=%v\n", text, params)
 					}
 					refRows, refErr = oracleRun(ref, text, params)
+					if text == q && !cursorArm(0, oracleRef.name, ref, refRows, refErr) {
+						return nil, "", false
+					}
 					refSorted := sortedCopy(refRows)
 					for i, cfg := range oracleGrid {
 						gotRows, gotErr := oracleRun(gridEx[i], text, params)
+						if text == q && !cursorArm(1+i, cfg.name, gridEx[i], gotRows, gotErr) {
+							return nil, "", false
+						}
 						if (refErr != "") != (gotErr != "") {
 							fail(cfg.name, "error divergence", at+fmt.Sprintf("reference err=%q, %s err=%q", refErr, cfg.name, gotErr))
 							return nil, "", false
@@ -279,7 +343,7 @@ func TestDifferentialOracle(t *testing.T) {
 						if i >= len(corpus) || t.Failed() {
 							return
 						}
-						checkQuery(corpus[i])
+						checkQuery(i, corpus[i])
 					}
 				}()
 			}

@@ -16,7 +16,8 @@ package cypher
 //	Filter       WITH ... WHERE, on the rows WITH binds
 //	Barrier      CREATE/SET/DELETE: keeps every input row, runs the clause's
 //	             batch function at flush, then pushes its output
-//	Sink         appends to Result.Rows (Run) or feeds a Cursor (Session)
+//	Sink         charges each row and hands it to the run's emit: Run
+//	             appends it to Result.Rows, a Session's Cursor yields it
 //
 // push receives one row. A binding row is a slice with one slot per
 // variable name of the query (slots.go); one handed downstream is a
@@ -65,25 +66,14 @@ type pipeline struct {
 }
 
 // runPipeline compiles q and drives it: the head receives the single empty
-// input row and is then flushed. Result rows are appended to res.Rows, or
-// emitted to sink when one is given; either way res.Columns is set, and
-// published to the sink, before the first row.
-func (ex *Executor) runPipeline(ctx *evalCtx, q *Query, res *Result, sink *streamSink) error {
+// input row and is then flushed. Result rows go to emit; res.Columns is
+// set before the first row.
+func (ex *Executor) runPipeline(ctx *evalCtx, q *Query, res *Result, emit func([]Datum) error) error {
 	p := &pipeline{ex: ex, ctx: ctx, m: ctx.matcher, res: res, start: time.Now(), done: make([]time.Duration, len(q.Clauses))}
 	defer p.timings(q)
-	emit := func(row []Datum) error {
-		res.Rows = append(res.Rows, row)
-		return nil
-	}
-	if sink != nil {
-		emit = sink.emit
-	}
 	head, err := p.compile(q, emit)
 	if err != nil {
 		return err
-	}
-	if sink != nil {
-		sink.publishColumns(res.Columns)
 	}
 	if err := p.checkpoint(); err != nil {
 		return err
@@ -251,7 +241,7 @@ func (p *pipeline) match(cl *MatchClause) func(stage) stage {
 
 // plan binds the clause's index accesses to this run's parameters and
 // plans its parts. It is kept out of the push closure, whose frame sits
-// under every match on a Session goroutine's small stack.
+// under every match on a Session cursor's coroutine stack.
 func (p *pipeline) plan(cl *MatchClause) (*matchPlan, []access) {
 	acc := p.ex.bindSargs(cl.sargs, p.ctx.params, false)
 	plan := p.ex.planMatch(p.m.g, cl.Patterns, cl.bound, acc)

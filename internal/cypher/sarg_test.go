@@ -427,3 +427,29 @@ func TestNaNComparisons(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNOrderBy: ORDER BY places NaN above every number — above +Inf and
+// the largest int, not among the subnormals next to 0 — ascending and
+// descending.
+func TestNaNOrderBy(t *testing.T) {
+	ex := NewExecutor(graph.New("empty"))
+	params := map[string]graph.Value{"nan": graph.NewFloat(math.NaN()), "inf": graph.NewFloat(math.Inf(1))}
+	const list = "[1, $nan, 5e-324, 9223372036854775807, 0, $inf, -1]"
+	for _, c := range []struct{ order, want string }{
+		{"ASC", "-1 0 5e-324 1 9223372036854775807 +Inf NaN"},
+		{"DESC", "NaN +Inf 9223372036854775807 1 5e-324 0 -1"},
+	} {
+		q := "UNWIND " + list + " AS x RETURN x ORDER BY x " + c.order
+		res, err := ex.Run(q, params)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got []string
+		for i := range res.Rows {
+			got = append(got, res.Value(i, "x").String())
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%s = %s, want %s", q, s, c.want)
+		}
+	}
+}

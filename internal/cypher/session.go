@@ -6,20 +6,19 @@ package cypher
 // new run closes the previous one, mirroring Bolt's one-stream-per-
 // connection discipline) and optionally one explicit transaction.
 //
-// Streaming: Run executes the query on a dedicated goroutine and returns
-// immediately with a Cursor. Every query runs on the execution pipeline
-// (pipeline.go) with a channel sink (stream.go): the columns are published
-// once the pipeline is compiled, and each result row reaches the cursor as
-// the pipeline produces it, so a slow consumer backpressures the scan
-// instead of the result being materialized. Closing the cursor cancels a
-// read; a write runs to completion once started — Close discards its
-// rows, not its effects.
+// Streaming: Run admits the query and returns a Cursor; the query runs on
+// the goroutine that reads the cursor. The push pipeline (pipeline.go) is
+// wrapped in iter.Pull, so Next resumes it until it emits its next row and
+// a coroutine switch suspends it there: a slow consumer paces the scan
+// and a result is never materialized. The columns come from the resolved
+// RETURN clause at Run. Closing the cursor stops a read where it stands;
+// a write runs to completion — Close discards its rows, not its effects.
 //
-// Admission: when the Executor carries an admission controller, Run
-// admits synchronously — callers see AdmissionRejectedError before any
-// goroutine is spawned — and the slot is released when the stream
-// finishes (drained, failed, or closed), so governor counters track live
-// streams, not just in-flight calls.
+// Admission: Run admits synchronously through the same gate as
+// Executor.Run (Executor.admit) — callers see AdmissionRejectedError at
+// Run — and the slot is released when the stream finishes (drained,
+// failed, or closed), so governor counters track live streams, not just
+// in-flight calls.
 //
 // Transactions: Begin takes the Executor's transaction lock exclusively,
 // making explicit transactions single-writer across every session of the
@@ -37,6 +36,7 @@ package cypher
 import (
 	"context"
 	"errors"
+	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,9 +82,9 @@ func (ex *Executor) OpenSession() *Session {
 	return &Session{ex: ex}
 }
 
-// Run parses src and starts executing it, returning a streaming Cursor.
-// Parse errors, admission rejections and context errors surface here;
-// execution errors (budget kills, evaluation failures) surface on the
+// Run parses src, admits it and returns a Cursor that executes it as it
+// is read. Parse errors, admission rejections and context errors surface
+// here; execution errors (budget kills, evaluation failures) surface on the
 // Cursor after the rows that preceded them. A previous unfinished Cursor
 // on this session is closed first.
 func (s *Session) Run(cctx context.Context, src string, params map[string]graph.Value) (*Cursor, error) {
@@ -102,67 +102,31 @@ func (s *Session) Run(cctx context.Context, src string, params map[string]graph.
 	if err != nil {
 		return nil, err
 	}
-
-	// An auto-commit mutating run holds the transaction lock shared for
-	// its whole execution, so it never interleaves with an open explicit
-	// transaction (which holds it exclusively). Inside a transaction the
-	// session already holds the exclusive lock — RWMutex is not
-	// reentrant, so it must not be re-acquired here. Reads are untouched.
-	mutates := QueryMutates(q)
-	var unlock func()
-	if s.tx == nil && mutates {
-		unlock, err = s.ex.lockTx(cctx, true)
-		if err != nil {
-			return nil, err
-		}
+	release, err := s.ex.admit(cctx, q, s.tx != nil)
+	if err != nil {
+		return nil, err
 	}
-
-	var done func(error)
-	if s.ex.admission != nil {
-		done, err = s.ex.admission.Admit(cctx)
-		if err != nil {
-			if unlock != nil {
-				unlock()
-			}
-			return nil, err
-		}
-	}
-
-	ctx, cancel := context.WithCancel(cctx)
-	c := &Cursor{
-		sink:   newStreamSink(ctx),
-		cancel: cancel,
-		fin:    make(chan struct{}),
-	}
-	s.cur = c
-	execCtx := ctx
-	if mutates {
-		execCtx = cctx // Close stops the write's rows, not the write
-	}
-
-	go func() {
+	c := &Cursor{cols: q.columns(), write: QueryMutates(q), release: release}
+	c.next, c.stop = iter.Pull(func(yield func([]Datum) bool) {
 		growStack(0)
-		res, rerr := s.ex.executeProtected(execCtx, q, params, c.sink)
+		res, err := s.ex.execute(cctx, q, params, func(row []Datum) error {
+			if !yield(row) {
+				return context.Canceled // Close stopped the cursor
+			}
+			return nil
+		})
 		if res != nil {
 			res.Exec.PlanCacheHit = hit
 		}
-		c.res, c.err = res, rerr
-		// Release the admission slot and lock hold before reporting the
-		// run finished, so a returned Close means they are free.
-		if done != nil {
-			done(rerr)
-		}
-		if unlock != nil {
-			unlock()
-		}
-		close(c.sink.rows)
-		close(c.fin)
-	}()
+		c.res, c.err = res, err
+		c.finish(err)
+	})
+	s.cur = c
 	return c, nil
 }
 
-// finishCursorLocked closes the session's live cursor, if any, waiting
-// for its goroutine (and its admission slot and lock holds) to finish.
+// finishCursorLocked closes the session's live cursor, if any, which
+// frees its admission slot and lock hold.
 func (s *Session) finishCursorLocked() {
 	if s.cur != nil {
 		s.cur.Close()
@@ -390,91 +354,76 @@ func (ex *Executor) lockTx(cctx context.Context, shared bool) (func(), error) {
 }
 
 // Cursor streams one run's rows. Next/Record/Err follow the database/sql
-// idiom; Close cancels the run and releases its resources. A Cursor is
-// not safe for concurrent use.
+// idiom; Close stops the run and releases its resources. A Cursor is not
+// safe for concurrent use.
 type Cursor struct {
-	sink   *streamSink
-	cancel context.CancelFunc
-	fin    chan struct{} // closed after res/err are set and the run goroutine is done
+	next    func() ([]Datum, bool)
+	stop    func()
+	release func(error) // frees the slot and lock hold; nil once the run ended or Close ran
+	cols    []string
+	write   bool // a write runs to completion even when its cursor is closed unread
 
-	cols   []string
-	colsOK bool
 	cur    []Datum
 	res    *Result
 	err    error
-	closed atomic.Bool
+	closed bool
 }
 
-// Next advances to the next row, blocking until one is available or the
-// stream ends. It returns false at end of stream — check Err then.
+// Next runs the query until it produces its next row, or to its end. It
+// returns false at end of stream — check Err then.
 func (c *Cursor) Next() bool {
-	row, ok := <-c.sink.rows
-	if !ok {
-		c.cur = nil
-		return false
-	}
+	row, ok := c.next()
 	c.cur = row
-	return true
+	return ok
 }
 
 // Record returns the current row. Valid after a true Next until the next
 // Next call; the slice must not be retained across calls if mutated.
 func (c *Cursor) Record() []Datum { return c.cur }
 
-// Columns returns the result header, blocking until the run has compiled
-// its pipeline (or failed before it could).
-func (c *Cursor) Columns() []string {
-	if c.colsOK {
-		return c.cols
-	}
-	select {
-	case cols := <-c.sink.cols:
-		c.cols, c.colsOK = cols, true
-	case <-c.fin:
-		select {
-		case cols := <-c.sink.cols:
-			c.cols, c.colsOK = cols, true
-		default:
-			if c.res != nil {
-				c.cols, c.colsOK = c.res.Columns, true
-			}
-		}
-	}
-	return c.cols
-}
+// Columns returns the result header: the columns of the query's RETURN.
+func (c *Cursor) Columns() []string { return c.cols }
 
 // Err returns the run's terminal error, or nil while streaming or after
-// a clean finish. A cancellation caused by Close is not an error.
+// a clean finish. The stop caused by Close is not an error.
 func (c *Cursor) Err() error {
-	select {
-	case <-c.fin:
-	default:
-		return nil
-	}
-	if c.err != nil && c.closed.Load() && errors.Is(c.err, context.Canceled) {
+	if c.closed && errors.Is(c.err, context.Canceled) {
 		return nil
 	}
 	return c.err
 }
 
-// Close cancels the run, drains the stream and waits for the run
-// goroutine to finish (releasing its admission slot and lock holds).
-// Closing a finished cursor is a no-op; Close returns Err.
+// Close stops the run and releases its admission slot and lock hold. A
+// write is first run up to its first row, by which point every write
+// clause has applied (each buffers all its input rows), so Close discards
+// a write's rows, not its effects. Closing a finished cursor is a no-op;
+// Close returns Err.
 func (c *Cursor) Close() error {
-	c.closed.Store(true)
-	c.cancel()
-	for range c.sink.rows {
-		// Drain so a producer blocked mid-emit always unblocks.
+	if !c.closed {
+		c.closed = true
+		if c.write {
+			c.next()
+		}
+		c.stop()
+		c.finish(nil) // a no-op unless the run never started
 	}
-	<-c.fin
 	return c.Err()
 }
 
-// growStack makes a query goroutine take its stack growth here, at the
+// finish releases the run's admission slot and lock hold, once.
+func (c *Cursor) finish(err error) {
+	if c.release != nil {
+		c.release(err)
+		c.release = nil
+	}
+}
+
+// growStack makes a query's coroutine take its stack growth here, at the
 // bottom of its stack, where copying is cheap. A point read otherwise
 // outgrows the initial stack in the middle of evaluating WHERE, and the
 // runtime then copies every matcher frame and scans eval's large frame
-// table: a fifth of a Session point read on the Twitter graph, 2 vCPU.
+// table: a Session point read on the Twitter graph (2 vCPU) costs 13–17 µs
+// without it and 9–10 µs with it.
 //
 //go:noinline
 func growStack(i int) byte {
@@ -483,10 +432,12 @@ func growStack(i int) byte {
 }
 
 // Summary returns the run's Result (stats, profile, columns; Rows are
-// nil — they streamed through the cursor) and terminal error. It blocks
-// until the stream completes, so call it after Next returns false or
-// after Close.
+// nil — they streamed through the cursor) and terminal error. Call it
+// after Next returns false or after Close; on a cursor still streaming it
+// returns ErrCursorUnfinished.
 func (c *Cursor) Summary() (*Result, error) {
-	<-c.fin
+	if c.release != nil {
+		return nil, ErrCursorUnfinished
+	}
 	return c.res, c.Err()
 }

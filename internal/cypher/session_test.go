@@ -41,6 +41,9 @@ func TestSessionStreamedRun(t *testing.T) {
 	if cols := c.Columns(); len(cols) != 1 || cols[0] != "i" {
 		t.Fatalf("columns = %v", cols)
 	}
+	if _, err := c.Summary(); !errors.Is(err, ErrCursorUnfinished) {
+		t.Fatalf("Summary while streaming = %v, want ErrCursorUnfinished", err)
+	}
 	rows, err := drain(c)
 	if err != nil {
 		t.Fatal(err)
@@ -469,5 +472,107 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			t.Fatalf("%s: %d rows vs %d", q, len(rows), len(ref.Rows))
 		}
 		s.Close()
+	}
+}
+
+// TestSessionTxExcludesExecutorRun: Executor.Run admits through the same
+// gate as a Session, so an auto-commit write waits for another session's
+// open transaction instead of joining its write set — where the
+// transaction's ROLLBACK would delete it.
+func TestSessionTxExcludesExecutorRun(t *testing.T) {
+	ex := NewExecutor(sessionGraph(0))
+	s := ex.OpenSession()
+	defer s.Close()
+	if err := s.Begin(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := ex.Run(`CREATE (:Auto)`, nil)
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		t.Fatalf("Executor.Run wrote inside another session's transaction (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := s.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ex.g.NodesWithLabel("Auto")); n != 1 {
+		t.Fatalf("Auto nodes after the rollback = %d, want 1", n)
+	}
+}
+
+// TestSessionCancelDuringNext: cancelling the Run context from another
+// goroutine while Next is executing a counting product — which emits
+// nothing until its end — stops it promptly with context.Canceled and
+// frees its admission slot.
+func TestSessionCancelDuringNext(t *testing.T) {
+	gov := governor.New(governor.Config{MaxConcurrent: 1, MaxQueue: 0})
+	ex := NewExecutor(graph.New("empty"), WithAdmission(gov))
+	s := ex.OpenSession()
+	defer s.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c, err := s.Run(ctx, nestedUnwindCount, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := make(chan bool, 1)
+	go func() { next <- c.Next() }()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case ok := <-next:
+		if ok {
+			t.Fatalf("Next returned a row: %v", c.Record())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next still running 10s after its context was cancelled")
+	}
+	if err := c.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err = %v, want context.Canceled", err)
+	}
+	if st := gov.Stats(); st.Active != 0 {
+		t.Fatalf("admission slot still held after the cancelled run: %+v", st)
+	}
+}
+
+// TestSessionCloseUnpulled: closing a cursor that was never pulled runs a
+// write to completion, skips a read, and frees the admission slot and the
+// transaction lock either way.
+func TestSessionCloseUnpulled(t *testing.T) {
+	gov := governor.New(governor.Config{MaxConcurrent: 1, MaxQueue: 0})
+	ex := NewExecutor(sessionGraph(3), WithAdmission(gov))
+	s := ex.OpenSession()
+	defer s.Close()
+
+	for _, q := range []string{`CREATE (:U) RETURN 1 AS one`, `CREATE (:U)`, `MATCH (n:N) RETURN n.i AS i`} {
+		c, err := s.Run(context.Background(), q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("%s: Close = %v", q, err)
+		}
+		if st := gov.Stats(); st.Active != 0 || st.Admitted != st.Completed+st.Killed {
+			t.Fatalf("%s: admission slot not freed by Close: %+v", q, st)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		tx := ex.OpenSession()
+		err = tx.Begin(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: transaction lock still held after Close: %v", q, err)
+		}
+		tx.Close()
+	}
+	if n := len(ex.g.NodesWithLabel("U")); n != 2 {
+		t.Fatalf("U nodes = %d, want the 2 unpulled writes", n)
 	}
 }

@@ -110,6 +110,18 @@ func (q *Query) resolve() {
 	})
 }
 
+// columns returns the result header: the columns of the query's final
+// RETURN, none when it returns nothing.
+func (q *Query) columns() []string {
+	q.resolve()
+	if n := len(q.Clauses); n > 0 {
+		if r, ok := q.Clauses[n-1].(*ReturnClause); ok {
+			return r.cols
+		}
+	}
+	return nil
+}
+
 // expand resolves the projection against the variables in scope: star
 // items first (sorted by name), then the written items. A column is named
 // by its item, with "_" suffixed to a repeated name.

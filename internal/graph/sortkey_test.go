@@ -43,16 +43,16 @@ func legacySortKey(v Value) string {
 
 // legacyExact reports whether the legacy encoding of v is one the new
 // encoder keeps: no int beyond float64's exact range (it shared a float's
-// key), no NaN other than math.NaN() (each NaN had its own key), and no
-// NUL inside a list element's key (two lists could share a key).
+// key), no NaN (its key fell among the subnormals, where NaN does not
+// order), and no NUL inside a list element's key (two lists could share a
+// key).
 func legacyExact(v Value) bool {
 	switch v.Kind() {
 	case KindInt:
 		f := float64(v.Int())
 		return f < 0x1p63 && int64(f) == v.Int()
 	case KindFloat:
-		f := v.Float()
-		return f == f || math.Float64bits(f) == math.Float64bits(math.NaN())
+		return v.Float() == v.Float()
 	case KindList:
 		for _, e := range v.List() {
 			if !legacyExact(e) || strings.IndexByte(legacySortKey(e), 0) >= 0 {
@@ -64,6 +64,8 @@ func legacyExact(v Value) bool {
 }
 
 func isNaN(v Value) bool { return v.Kind() == KindFloat && v.Float() != v.Float() }
+
+func isNumber(v Value) bool { return v.Kind() == KindInt || v.Kind() == KindFloat }
 
 // sameGroup is grouping equality: Equal, except that null groups with null
 // and NaN with NaN, also inside lists.
@@ -105,6 +107,12 @@ func checkSortKeys(t *testing.T, a, b Value) {
 			t.Fatalf("Compare(%v, %v) = %d but keys %q, %q compare %d", a, b, c, ka, kb, got)
 		}
 	}
+	for _, p := range [2][2]Value{{a, b}, {b, a}} {
+		nan, num := p[0], p[1]
+		if isNaN(nan) && isNumber(num) && !isNaN(num) && nan.SortKey() <= num.SortKey() {
+			t.Fatalf("NaN key %q is not above the key %q of %v", nan.SortKey(), num.SortKey(), num)
+		}
+	}
 	if eq, same := bytes.Equal(ka, kb), sameGroup(a, b); eq != same {
 		t.Fatalf("%v, %v: keys equal = %v, same group = %v (keys %q, %q)", a, b, eq, same, ka, kb)
 	}
@@ -143,6 +151,7 @@ func FuzzSortKey(f *testing.F) {
 		s   string
 	}{
 		{3, 0, math.NaN(), ""},
+		{3, 0, math.Inf(1), ""},
 		{3, 0, math.Copysign(0, -1), ""},
 		{3, 0, 0, ""},
 		{2, 0, 0, ""},

@@ -336,10 +336,11 @@ func (v Value) SortKey() string {
 //	null   "\xff"
 //	bool   "0:0", "0:1"
 //	number "1:" + 16 hex digits of the float64 bits, sign-flipped so that
-//	       byte order is numeric order; an int64 that float64 cannot hold
-//	       exactly (|i| > 2^53) takes the key of the largest float64 below
-//	       it plus "+" and 4 hex digits of the (positive, < 1024) offset,
-//	       which sorts after that float and before the next one
+//	       byte order is numeric order (NaN: all ones, above every number);
+//	       an int64 that float64 cannot hold exactly (|i| > 2^53) takes
+//	       the key of the largest float64 below it plus "+" and 4 hex
+//	       digits of the (positive, < 1024) offset, which sorts after that
+//	       float and before the next one
 //	string "2:" + the bytes
 //	list   "3:" + the element keys joined by NUL, a NUL inside an element
 //	       key escaped as NUL 0x01 (no element key starts with 0x01)
@@ -384,16 +385,17 @@ func (v Value) AppendSortKey(dst []byte) []byte {
 
 // appendFloatKey appends the numeric sort key of f: "1:" and the float's
 // bits in hex, the sign bit flipped for non-negatives and every bit for
-// negatives so that byte order is numeric order. -0 shares +0's key and
-// every NaN shares one key.
+// negatives so that byte order is numeric order. -0 shares +0's key. Every
+// NaN shares the all-ones key, above +Inf and every int, where Cypher
+// orders NaN.
 func appendFloatKey(dst []byte, f float64) []byte {
-	if f != f {
-		f = math.NaN()
-	}
 	bits := math.Float64bits(f)
-	if f >= 0 {
+	switch {
+	case f != f:
+		bits = math.MaxUint64
+	case f >= 0:
 		bits |= 1 << 63
-	} else {
+	default:
 		bits = ^bits
 	}
 	return appendHex(append(dst, "1:"...), bits, 16)
