@@ -92,10 +92,13 @@ func TestRunGoverned(t *testing.T) {
 }
 
 func TestRunTinyRowBudget(t *testing.T) {
-	// A one-row budget kills broad scoring queries with the typed error,
-	// surfaced per rule as an evaluation failure — the run itself succeeds.
+	// A one-row budget kills scoring queries that keep rows with the typed
+	// error, surfaced per rule as an evaluation failure — the run itself
+	// succeeds. Mixtral mines an edge-uniqueness rule here, whose support
+	// query keeps one row per (a, b, value) group; a single-property
+	// uniqueness rule groups by a key-order walk and keeps none.
 	var out bytes.Buffer
-	if err := run([]string{"-dataset", "Cybersecurity", "-max-rows", "1"}, &out); err != nil {
+	if err := run([]string{"-dataset", "Cybersecurity", "-model", "mixtral", "-max-rows", "1"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "-row budget") {

@@ -199,6 +199,7 @@ type MatchClause struct {
 
 	sargs []Sarg          // index-eligible predicates, classified once by the parser
 	bound map[string]bool // variables bound before the clause (slots.go)
+	order *access         // the key-order walk it provides the next projection (sarg.go)
 }
 
 func (m *MatchClause) clauseString() string {
@@ -259,6 +260,7 @@ type Projection struct {
 	items    []*ReturnItem
 	cols     []string
 	colSlots []int
+	runs     *access // the key-order walk feeding it grouped rows, nil when none
 }
 
 func (p *Projection) projString() string {

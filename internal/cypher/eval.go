@@ -145,6 +145,9 @@ func (c *evalCtx) eval(e Expr, row Row) (Datum, error) {
 		}
 		return ValDatum(v), nil
 	case *PropAccess:
+		if v, ok := x.Target.(*Variable); ok && row[v.slot].Node != nil && row[v.slot].bound() {
+			return ValDatum(row[v.slot].Node.Prop(x.Key)), nil // the common n.key
+		}
 		t, err := c.eval(x.Target, row)
 		if err != nil {
 			return NullDatum, err
@@ -311,17 +314,6 @@ func triOf(v graph.Value) (tri, error) {
 		return triFalse, nil
 	default:
 		return triNull, execErrf("type error: expected a boolean, got %s", v.Kind())
-	}
-}
-
-func triValue(t tri) graph.Value {
-	switch t {
-	case triTrue:
-		return graph.NewBool(true)
-	case triFalse:
-		return graph.NewBool(false)
-	default:
-		return graph.Null
 	}
 }
 

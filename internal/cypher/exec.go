@@ -81,10 +81,12 @@ const (
 	NodeRangeSeek
 	// EdgeIndexSeek derives node anchors from the ordered edge index.
 	EdgeIndexSeek
+	// NodeByIndexOrder walks the ordered index's non-null keys in key order.
+	NodeByIndexOrder
 )
 
 func (k SeekKind) String() string {
-	return [...]string{"NodeIndexSeek", "NodeRangeSeek", "EdgeIndexSeek"}[k]
+	return [...]string{"NodeIndexSeek", "NodeRangeSeek", "EdgeIndexSeek", "NodeByIndexOrder"}[k]
 }
 
 // SeekInfo describes one index seek the matcher took for an anchor scan.
@@ -249,6 +251,7 @@ type Executor struct {
 	noReorder       bool
 	noRangePushdown bool
 	snapshotPin     bool // read-only queries run on a pinned epoch snapshot
+	hashGroups      bool // tests: ignore key-order walks (keyOrder), group by hash
 
 	// Resource governor configuration (see governor.go): per-query row /
 	// memory / deadline budgets, and an optional admission controller

@@ -32,9 +32,8 @@ func (ex *Executor) Explain(src string) (string, error) {
 			}
 			line("%s (%d pattern(s))", kw, len(c.Patterns))
 			depth++
-			accs := ex.bindSargs(c.sargs, nil, true)
+			mp, accs := ex.planClause(ex.g, c, nil, true)
 			bound := copyBound(c.bound)
-			mp := ex.planMatch(ex.g, c.Patterns, bound, accs)
 			if mp.reordered {
 				line("CostOrder: order=%v reversed=%v est=%v [smallest anchor first]", mp.order, mp.reversed, mp.est)
 			}
@@ -46,12 +45,12 @@ func (ex *Executor) Explain(src string) (string, error) {
 			}
 			depth--
 		case *WithClause:
-			line("Project (WITH): %s", projectionSummary(&c.Projection))
+			line("Project (WITH): %s", ex.projectionSummary(&c.Projection))
 			if c.Where != nil {
 				line("Filter: %s", c.Where.exprString())
 			}
 		case *ReturnClause:
-			line("Project (RETURN): %s", projectionSummary(&c.Projection))
+			line("Project (RETURN): %s", ex.projectionSummary(&c.Projection))
 		case *UnwindClause:
 			line("Unwind %s AS %s", c.Expr.exprString(), c.Alias)
 		case *CreateClause:
@@ -153,7 +152,7 @@ func nodeSummary(n *NodePattern) string {
 	return s + ")"
 }
 
-func projectionSummary(p *Projection) string {
+func (ex *Executor) projectionSummary(p *Projection) string {
 	var parts []string
 	if p.Distinct {
 		parts = append(parts, "DISTINCT")
@@ -171,6 +170,9 @@ func projectionSummary(p *Projection) string {
 	s := strings.Join(parts, ", ")
 	if agg {
 		s += " [grouped aggregate]"
+	}
+	if p.runs != nil && !ex.hashGroups {
+		s += fmt.Sprintf(" [ordered by %s.%s]", p.runs.Var, p.runs.Key)
 	}
 	if len(p.OrderBy) > 0 {
 		s += fmt.Sprintf(" [sort x%d]", len(p.OrderBy))

@@ -16,10 +16,12 @@ package cypher
 // Aggregate operator against the row stream: for every `MATCH … RETURN
 // <items>` query, `RETURN count(*)` over the same MATCH equals the number
 // of reference rows (see countQuery), and the grouping arms check grouped
-// counts and DISTINCT keys against it (see groupingQueries). The NaN arm
-// reruns the grid with every numeric literal of the MATCH clauses turned
-// into a NaN parameter (see nanParams), so a seek on a NaN bound must
-// agree with the scan. The cursor arm reads each query through two
+// counts and DISTINCT keys against it (see groupingQueries); the ordered
+// arm adds `IS NOT NULL` on the grouping key, which walks it in key order,
+// and compares with the hash table's groups (see orderedQueries). The NaN
+// arm reruns the grid with every numeric literal of the MATCH clauses
+// turned into a NaN parameter (see nanParams), so a seek on a NaN bound
+// must agree with the scan. The cursor arm reads each query through two
 // Session cursors paged in turns on one configuration (see pagedRun); both
 // must reproduce Executor.Run's rows exactly. Queries are
 // checked from a worker pool over shared executors, so the oracle also
@@ -329,6 +331,25 @@ func TestDifferentialOracle(t *testing.T) {
 						fail("group-distinct", "aggregate divergence", fmt.Sprintf("%s = %d\n%s: %d rows, err=%s", dc, n, dr, len(rows), errStr))
 					}
 				}
+				for _, pair := range orderedQueries(q) {
+					got, gotErr, ok := grid(pair[0], nil)
+					if !ok {
+						return
+					}
+					var want []string
+					res, err := ref.Run(pair[1], nil)
+					if err == nil {
+						for _, r := range res.Rows {
+							if !r[0].IsNull() {
+								want = append(want, renderRow(r))
+							}
+						}
+					}
+					if gotErr != "" || err != nil || !rowsEqual(sortedCopy(got), sortedCopy(want)) {
+						fail("ordered", "ordered grouping divergence", fmt.Sprintf("%s: %v err=%s\n%s without its null key: %v err=%v",
+							pair[0], sortedCopy(got), gotErr, pair[1], sortedCopy(want), err))
+					}
+				}
 			}
 			workers := runtime.GOMAXPROCS(0)
 			if workers > len(corpus) {
@@ -514,6 +535,43 @@ func groupingQueries(src string) (sum, distinctCount, distinctRows string, ok bo
 			Where: &IsNull{E: kv, Negate: true}},
 		&ReturnClause{Projection: Projection{Items: []*ReturnItem{{Expr: kv, Alias: "k"}}}})
 	return sum, distinctCount, distinctRows, true
+}
+
+// orderedQueries rewrites a countQuery-shaped query whose first item is a
+// property v.k into the two shapes a key-order walk groups: `WITH v.k AS
+// k, count(*) AS c RETURN k, c` and `RETURN DISTINCT v.k AS k`. Each comes
+// as a pair: with `v.k IS NOT NULL` added to the MATCH's WHERE (keyOrder's
+// shape when the MATCH anchors at v), and without it, grouped by the hash
+// table. The first must give the second's rows minus its null-key group,
+// as a multiset: the walk emits groups in key order, the hash table in
+// first-seen order.
+func orderedQueries(src string) (pairs [][2]string) {
+	q, ok := countShape(src)
+	if !ok {
+		return nil
+	}
+	k, ok := q.Clauses[1].(*ReturnClause).Items[0].Expr.(*PropAccess)
+	if !ok {
+		return nil
+	}
+	if _, ok := k.Target.(*Variable); !ok {
+		return nil
+	}
+	m := q.Clauses[0].(*MatchClause)
+	notNull := &MatchClause{Patterns: m.Patterns, Where: andAll([]Expr{m.Where, &IsNull{E: k, Negate: true}})}
+	kv, cv := &Variable{Name: "k"}, &Variable{Name: "c"}
+	grouped := []Clause{
+		&WithClause{Projection: Projection{Items: []*ReturnItem{{Expr: k, Alias: "k"}, {Expr: &FuncCall{Name: "count", Star: true}, Alias: "c"}}}},
+		&ReturnClause{Projection: Projection{Items: []*ReturnItem{{Expr: kv, Alias: "k"}, {Expr: cv, Alias: "c"}}}},
+	}
+	distinct := []Clause{&ReturnClause{Projection: Projection{Distinct: true, Items: []*ReturnItem{{Expr: k, Alias: "k"}}}}}
+	for _, tail := range [][]Clause{grouped, distinct} {
+		pairs = append(pairs, [2]string{
+			(&Query{Clauses: append([]Clause{notNull}, tail...)}).String(),
+			(&Query{Clauses: append([]Clause{m}, tail...)}).String(),
+		})
+	}
+	return pairs
 }
 
 // rewriteQuery parses src, applies one rewrite and renders the result back

@@ -36,6 +36,7 @@ package cypher
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -161,13 +162,13 @@ func (p *pipeline) compile(q *Query, emit func([]Datum) error) (stage, error) {
 		case *UnwindClause:
 			builders[i] = p.unwind(cl)
 		case *WithClause:
-			build, err := p.projection(&cl.Projection)
+			build, err := p.projection(&cl.Projection, true)
 			if err != nil {
 				return stage{}, err
 			}
 			builders[i] = func(next stage) stage { return build(p.bind(cl.colSlots, cl.Where, next)) }
 		case *ReturnClause:
-			build, err := p.projection(&cl.Projection)
+			build, err := p.projection(&cl.Projection, false)
 			if err != nil {
 				return stage{}, err
 			}
@@ -243,10 +244,19 @@ func (p *pipeline) match(cl *MatchClause) func(stage) stage {
 // plans its parts. It is kept out of the push closure, whose frame sits
 // under every match on a Session cursor's coroutine stack.
 func (p *pipeline) plan(cl *MatchClause) (*matchPlan, []access) {
-	acc := p.ex.bindSargs(cl.sargs, p.ctx.params, false)
-	plan := p.ex.planMatch(p.m.g, cl.Patterns, cl.bound, acc)
+	plan, acc := p.ex.planClause(p.m.g, cl, p.ctx.params, false)
 	recordPlan(p.m, plan)
 	return plan, acc
+}
+
+// planClause binds the clause's index accesses and plans its parts on g; a
+// key-order walk (keyOrder) is its only access, and its part runs as written.
+func (ex *Executor) planClause(g *graph.Graph, cl *MatchClause, params map[string]graph.Value, explain bool) (*matchPlan, []access) {
+	if cl.order != nil && !ex.hashGroups {
+		return identityPlan(cl.Patterns), []access{*cl.order}
+	}
+	acc := ex.bindSargs(cl.sargs, params, explain)
+	return ex.planMatch(g, cl.Patterns, cl.bound, acc), acc
 }
 
 // nullPadded copies row with every variable of parts it does not bind set
@@ -339,8 +349,10 @@ func (p *pipeline) barrier(run func([]Row) ([]Row, error)) func(stage) stage {
 // projection compiles a WITH/RETURN projection over its resolved items
 // (slots.go). SKIP and LIMIT are evaluated here, once. build chains Project
 // or Aggregate, then Distinct, Sort and Skip/Limit as the projection asks,
-// into next.
-func (p *pipeline) projection(pr *Projection) (build func(next vstage) stage, err error) {
+// into next. Fed by a key-order walk, Aggregate groups run by run and
+// stands in for Distinct, whose keys are groups; transient says next keeps
+// no row (WITH's binding).
+func (p *pipeline) projection(pr *Projection, transient bool) (build func(next vstage) stage, err error) {
 	items := pr.items
 	if len(items) == 0 {
 		return nil, execErrf("projection requires at least one item")
@@ -356,6 +368,7 @@ func (p *pipeline) projection(pr *Projection) (build func(next vstage) stage, er
 			return nil, err
 		}
 	}
+	runs := pr.runs != nil && !p.ex.hashGroups
 	return func(next vstage) stage {
 		if pr.Skip != nil || pr.Limit != nil {
 			next = page(skip, limit, next)
@@ -363,12 +376,12 @@ func (p *pipeline) projection(pr *Projection) (build func(next vstage) stage, er
 		if len(pr.OrderBy) > 0 {
 			next = p.sort(pr.OrderBy, pr.colSlots, next)
 		}
-		if pr.Distinct {
+		if pr.Distinct && !runs {
 			next = p.distinct(next)
 		}
 		for _, it := range items {
-			if ContainsAggregate(it.Expr) {
-				return p.aggregate(items, next)
+			if runs || ContainsAggregate(it.Expr) {
+				return p.aggregateBy(items, next, runs, transient && len(pr.OrderBy) == 0)
 			}
 		}
 		return p.project(items, next)
@@ -394,14 +407,25 @@ func (p *pipeline) project(items []*ReturnItem, next vstage) stage {
 }
 
 // aggregate is the Aggregate operator. Items without an aggregate are the
-// grouping keys; groups are emitted at flush in first-seen order. With no
-// grouping keys there is exactly one group, even over no input, and a row
-// costs only its aggregate updates. A row of an existing group allocates
-// nothing: its key is encoded into one reused buffer, and every group's
-// items and aggregate states live in slabs shared by all groups. A new
-// group costs its key string, plus a clone of its first row only when a
-// non-key item reads the row outside its aggregate calls.
+// grouping keys; groups are emitted at flush in first-seen order (Cypher
+// leaves it unspecified). With no grouping keys there is exactly one group,
+// even over no input, and a row costs only its aggregate updates. A row of
+// an existing group allocates nothing: its key is encoded into one reused
+// buffer, and every group's items and aggregate states live in slabs
+// shared by all groups. A new group costs its key string, plus a clone of
+// its first row only when a non-key item reads the row outside its
+// aggregate calls.
 func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
+	return p.aggregateBy(items, next, false, false)
+}
+
+// aggregateBy is aggregate, or with runs set, Aggregate over input grouped
+// by its one key (keyOrder): a key that differs from the previous row's,
+// compared through two reused buffers, sends the open group downstream at
+// once, in key order, so the slabs hold one group. No row then allocates,
+// at a group boundary neither, when the aggregates are counts and next is
+// transient (keeps no row).
+func (p *pipeline) aggregateBy(items []*ReturnItem, next vstage, runs, transient bool) stage {
 	isKey := make([]bool, len(items))
 	keys, readsRow := 0, false
 	var calls []*FuncCall
@@ -423,13 +447,13 @@ func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 		})
 	}
 	width, nc := len(items), len(calls)
-	var vals []Datum      // group g's items are vals[g*width:][:width]; aggregate items are filled at flush
+	var vals []Datum      // group g's items are vals[g*width:][:width]; aggregate items are filled when it leaves
 	var states []aggState // group g's aggregate states are states[g*nc:][:nc]
 	var firsts []Row      // group g's first input row, kept only when readsRow
 	groups := 0
 	index := map[string]int{}
 	scratch := make([]Datum, width)
-	var kb []byte
+	var kb, prev []byte
 	newGroup := func(first Row) int {
 		vals = append(vals, scratch...)
 		for _, fc := range calls {
@@ -440,6 +464,48 @@ func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 		}
 		groups++
 		return groups - 1
+	}
+	results := make(map[*FuncCall]Datum, nc)
+	first := newRow(p.width)
+	call := make([]int, width) // the state whose result item i is, else -1
+	for i, it := range items {
+		call[i] = slices.IndexFunc(calls, func(fc *FuncCall) bool { return Expr(fc) == it.Expr })
+	}
+	// row fills group g's aggregate items: one call is its state's result,
+	// any other expression reads its calls' results on the first row.
+	row := func(g int) ([]Datum, error) {
+		out, st := vals[g*width:(g+1)*width:(g+1)*width], states[g*nc:(g+1)*nc]
+		if readsRow {
+			first = firsts[g]
+		}
+		for i, it := range items {
+			if j := call[i]; j >= 0 {
+				out[i] = st[j].result()
+			} else if !isKey[i] {
+				for _, s := range st {
+					results[s.fn] = s.result()
+				}
+				p.ctx.aggResults = results
+				d, err := p.ctx.eval(it.Expr, first)
+				if p.ctx.aggResults = nil; err != nil {
+					return nil, err
+				}
+				out[i] = d
+			}
+		}
+		return out, nil
+	}
+	// closeRun pushes the open run's group and empties the slabs.
+	closeRun := func() error {
+		out, err := row(0)
+		groups, vals, states, firsts = 0, vals[:0], states[:0], firsts[:0]
+		if err != nil {
+			return err
+		}
+		if !transient {
+			out = slices.Clone(out)
+		}
+		return next.push(out)
 	}
 	return stage{
 		push: func(r Row) error {
@@ -460,7 +526,17 @@ func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 					kb = d.appendHashable(kb)
 				}
 				var ok bool
-				if g, ok = index[string(kb)]; !ok {
+				if runs {
+					if groups > 0 && string(kb) != string(prev) {
+						if err := closeRun(); err != nil {
+							return err
+						}
+					}
+					if groups == 0 {
+						kb, prev = prev, kb
+						newGroup(r)
+					}
+				} else if g, ok = index[string(kb)]; !ok {
 					if err := p.keep(width); err != nil {
 						return err
 					}
@@ -480,28 +556,11 @@ func (p *pipeline) aggregate(items []*ReturnItem, next vstage) stage {
 				newGroup(newRow(p.width))
 			}
 			out := make([][]Datum, groups)
-			results := make(map[*FuncCall]Datum, nc)
-			p.ctx.aggResults = results
-			first := newRow(p.width)
-			var err error
-			for g := 0; g < groups && err == nil; g++ {
-				row := vals[g*width : (g+1)*width : (g+1)*width]
-				for i := g * nc; i < (g+1)*nc; i++ {
-					results[states[i].fn] = states[i].result()
+			for g := range out {
+				var err error
+				if out[g], err = row(g); err != nil {
+					return err
 				}
-				if readsRow {
-					first = firsts[g]
-				}
-				for i, it := range items {
-					if !isKey[i] && err == nil {
-						row[i], err = p.ctx.eval(it.Expr, first)
-					}
-				}
-				out[g] = row
-			}
-			p.ctx.aggResults = nil
-			if err != nil {
-				return err
 			}
 			return emitAll(p, out, next.push, next.flush)
 		},

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/graphrules/graphrules/internal/graph"
@@ -65,6 +66,7 @@ func (ex *Executor) planMatch(g *graph.Graph, parts []*PatternPart, bound map[st
 
 	plan := &matchPlan{}
 	known = copyBound(bound)
+	parts = withClauseLabels(parts)
 	remaining := make([]int, len(parts))
 	for i := range parts {
 		remaining[i] = i
@@ -77,12 +79,16 @@ func (ex *Executor) planMatch(g *graph.Graph, parts []*PatternPart, bound map[st
 			if !orientationSafe(part, false, known) {
 				continue // depends on a part not yet placed
 			}
-			cost := partCost(g, part, false, known, accs)
-			if bestPos == -1 || cost < bestCost {
-				bestPos, bestRev, bestCost = pos, false, cost
+			// A part anchors on its bound endpoint, not rescans per row.
+			last := known[part.Nodes[len(part.Nodes)-1].Var]
+			rev := reversible(part) && orientationSafe(part, true, known) && !known[part.Nodes[0].Var]
+			if !rev || !last {
+				if cost := partCost(g, part, false, known, accs); bestPos == -1 || cost < bestCost {
+					bestPos, bestRev, bestCost = pos, false, cost
+				}
 			}
-			if reversible(part) && orientationSafe(part, true, known) {
-				if rc := partCost(g, part, true, known, accs); rc < bestCost {
+			if rev {
+				if rc := partCost(g, part, true, known, accs); bestPos == -1 || rc < bestCost {
 					bestPos, bestRev, bestCost = pos, true, rc
 				}
 			}
@@ -174,6 +180,36 @@ func partCost(g *graph.Graph, part *PatternPart, reversed bool, bound map[string
 		cost *= fanout * total * sel
 	}
 	return cost
+}
+
+// withClauseLabels copies the parts with every node variable carrying every
+// label the clause gives it, so an anchor estimates and scans the smallest:
+// a candidate without one cannot match the part that names it.
+func withClauseLabels(parts []*PatternPart) []*PatternPart {
+	labels := map[string][]string{}
+	for _, part := range parts {
+		for _, np := range part.Nodes {
+			for _, l := range np.Labels {
+				if np.Var != "" && !slices.Contains(labels[np.Var], l) {
+					labels[np.Var] = append(labels[np.Var], l)
+				}
+			}
+		}
+	}
+	out := append([]*PatternPart(nil), parts...)
+	for i, part := range parts {
+		for j, np := range part.Nodes {
+			if ls := labels[np.Var]; len(ls) > len(np.Labels) {
+				if out[i] == part {
+					out[i] = &PatternPart{Nodes: slices.Clone(part.Nodes), Rels: part.Rels}
+				}
+				labeled := *np
+				labeled.Labels = ls
+				out[i].Nodes[j] = &labeled
+			}
+		}
+	}
+	return out
 }
 
 // smallestLabel returns the first of the labels with the fewest nodes, and

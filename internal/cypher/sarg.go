@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"slices"
 	"strings"
 
 	"github.com/graphrules/graphrules/internal/graph"
@@ -18,10 +19,12 @@ import (
 // by the pattern and the full WHERE — and returns a subsequence of the
 // scan's order, so rows and their order are identical with and without
 // pushdown; a slot whose value is missing, null or not a bool, number or
-// string is not seekable and the anchor scans. Soundness needs each seek
-// to cover every value its predicate accepts: equality and IN probe sort
-// keys, which exactly the Equal values share (1 = 1.0), and range bounds
-// compare sort keys, which order values as Compare does.
+// string is not seekable and the anchor scans. The one anchor that walks
+// in another order is keyOrder's, which the query's shape alone selects.
+// Soundness needs each seek to cover every value its predicate accepts:
+// equality and IN probe sort keys, which exactly the Equal values share
+// (1 = 1.0), and range bounds compare sort keys, which order values as
+// Compare does.
 
 // Sort-key kind-band fences (see graph.Value.SortKey): every bool key lies
 // in ["0:", "1:"), numerics in ["1:", "2:"), strings in ["2:", "3:").
@@ -187,6 +190,45 @@ type access struct {
 	lo, hi         graph.Bound
 	loTerm, hiTerm string // the predicates that set each side, e.g. ">= 30"
 	unbound        bool
+	order          bool // keyOrder's walk: every non-null key, in key order
+}
+
+// keyOrder returns, and records on m, the interesting order (System R) a
+// query's first clause m provides pr, the clause after it. When m has one
+// non-optional part anchored at x with one label, a top-level `x.k IS NOT
+// NULL` conjunct and no sargable predicate on x, and pr's only grouping key
+// or DISTINCT column is x.k, the anchor walks the (label, k) posting in key
+// order and pr groups run by run (pipeline.go), under every setting.
+func keyOrder(m *MatchClause, pr *Projection) *access {
+	if m == nil || m.Optional || len(m.Patterns) != 1 {
+		return nil
+	}
+	x := m.Patterns[0].Nodes[0]
+	key, agg := Expr(nil), false
+	for _, it := range pr.items {
+		switch {
+		case ContainsAggregate(it.Expr):
+			agg = true
+		case key != nil:
+			return nil
+		default:
+			key = it.Expr
+		}
+	}
+	pa, ok := key.(*PropAccess)
+	if !ok || !agg && !pr.Distinct || len(x.Labels) != 1 || pa.Target.exprString() != quoteIdent(x.Var) ||
+		slices.ContainsFunc(m.sargs, func(s Sarg) bool { return s.Var == x.Var }) {
+		return nil
+	}
+	var conjs []Expr
+	splitAnd(m.Where, &conjs)
+	for _, c := range conjs {
+		if n, ok := c.(*IsNull); ok && n.Negate && n.E.exprString() == pa.exprString() {
+			m.order = &access{Sarg: &Sarg{Var: x.Var, Key: pa.Key, Op: OpNeq /* not a point */}, order: true, loTerm: "IS NOT NULL"}
+			return m.order
+		}
+	}
+	return nil
 }
 
 // String renders the user-level predicates behind the access.
@@ -400,9 +442,12 @@ func (a *access) nodeCount(g *graph.Graph, l string) int {
 }
 
 // nodes enumerates the access's candidates under label l in label-bucket
-// order: an IN is the union of its equality seeks, restored to that order.
+// order, an IN as the union of its equality seeks restored to that order;
+// a key-order walk enumerates them in key order.
 func (a *access) nodes(g *graph.Graph, l string) []*graph.Node {
 	switch {
+	case a.order:
+		return g.LabelPropOrdered(l, a.Key)
 	case !a.point():
 		return g.LabelPropRange(l, a.Key, a.lo, a.hi)
 	case a.Op == OpEq:
@@ -455,7 +500,9 @@ func chooseNodeSeek(g *graph.Graph, np *NodePattern, accs []access) (best nodeSe
 // info describes the seek for ExecStats and Explain.
 func (s nodeSeek) info(v string) SeekInfo {
 	kind := NodeRangeSeek
-	if s.point() {
+	if s.order {
+		kind = NodeByIndexOrder
+	} else if s.point() {
 		kind = NodeIndexSeek
 	}
 	return SeekInfo{Kind: kind, Var: v, Label: s.label, Key: s.Key, Bounds: s.String(), Est: s.est}

@@ -48,11 +48,12 @@ type propExpr struct {
 }
 
 // resolve gives every variable name of q a slot and records the scope the
-// pipeline compiles against: the variables bound before each MATCH, and
-// each projection's items (a star expanded to the variables in scope) and
-// columns. It also turns inline property maps into key-ordered slices, so
-// a candidate check does not range over a map. Concurrent executions of
-// one Query resolve it once.
+// pipeline compiles against: the variables bound before each MATCH, each
+// projection's items (a star expanded to the variables in scope) and
+// columns, and the key order a first MATCH provides the projection after
+// it (sarg.go, keyOrder). It also turns inline property maps into
+// key-ordered slices, so a candidate check does not range over a map.
+// Concurrent executions of one Query resolve it once.
 func (q *Query) resolve() {
 	q.resolved.Do(func() {
 		slots := map[string]int{}
@@ -104,6 +105,15 @@ func (q *Query) resolve() {
 				}
 			case *ReturnClause:
 				c.expand(scope, of)
+			}
+		}
+		if len(q.Clauses) > 1 {
+			m, _ := q.Clauses[0].(*MatchClause)
+			switch c := q.Clauses[1].(type) {
+			case *WithClause:
+				c.runs = keyOrder(m, &c.Projection)
+			case *ReturnClause:
+				c.runs = keyOrder(m, &c.Projection)
 			}
 		}
 		q.width = len(slots)

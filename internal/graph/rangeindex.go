@@ -10,11 +10,12 @@ import "sort"
 // posting maps in propindex.go are the point-lookup projection of the same
 // data; the ordered index adds the sorted key sequence on top.
 //
-// Order contract: every seek returns its matches in bucket-insertion order
-// (the same order a plain label/type scan would enumerate them), NOT value
-// order. A range seek therefore yields a subsequence of the full scan, so
-// executors that re-filter candidates produce byte-identical row order with
-// and without the index.
+// Order contract: every seek but LabelPropOrdered returns its matches in
+// bucket-insertion order (the same order a plain label/type scan would
+// enumerate them), NOT value order. A range seek therefore yields a
+// subsequence of the full scan, so executors that re-filter candidates
+// produce byte-identical row order with and without the index.
+// LabelPropOrdered hands out the posting's key-order slice itself.
 //
 // Like the equality caches, ordered postings are built lazily under the
 // write lock and invalidated by mutation — but invalidation is incremental:
@@ -48,32 +49,35 @@ type ordEntry[T any] struct {
 	item T
 }
 
-// ordPosting is one (label, key) or (type, key) ordered index: the distinct
-// value sort keys ascending, with the items holding each key.
+// ordPosting is one (label, key) or (type, key) ordered index, never
+// mutated once built: the distinct value sort keys ascending, and every
+// item with a non-null value in key order, bucket order within a key; key
+// i's items are items[offs[i]:offs[i+1]], pos their bucket positions.
 type ordPosting[T any] struct {
-	keys []string
-	rows [][]ordEntry[T]
-	size int
+	keys  []string
+	offs  []int // len(keys)+1 offsets into items
+	items []T
+	pos   []int32
 }
 
 func buildOrdPosting[T any](items []T, keyOf func(T) (string, bool)) *ordPosting[T] {
-	byKey := map[string][]ordEntry[T]{}
+	byKey := map[string][]int32{}
 	for pos, it := range items {
-		sk, ok := keyOf(it)
-		if !ok {
-			continue
+		if sk, ok := keyOf(it); ok {
+			byKey[sk] = append(byKey[sk], int32(pos))
 		}
-		byKey[sk] = append(byKey[sk], ordEntry[T]{pos: pos, item: it})
 	}
-	p := &ordPosting[T]{keys: make([]string, 0, len(byKey))}
+	p := &ordPosting[T]{keys: make([]string, 0, len(byKey)), offs: make([]int, 1, len(byKey)+1)}
 	for k := range byKey {
 		p.keys = append(p.keys, k)
 	}
 	sort.Strings(p.keys)
-	p.rows = make([][]ordEntry[T], len(p.keys))
-	for i, k := range p.keys {
-		p.rows[i] = byKey[k]
-		p.size += len(byKey[k])
+	for _, k := range p.keys {
+		for _, pos := range byKey[k] {
+			p.items = append(p.items, items[pos])
+			p.pos = append(p.pos, pos)
+		}
+		p.offs = append(p.offs, len(p.items))
 	}
 	return p
 }
@@ -106,22 +110,22 @@ func (p *ordPosting[T]) segment(lo, hi Bound) (int, int) {
 // materializing them.
 func (p *ordPosting[T]) count(lo, hi Bound) int {
 	i, j := p.segment(lo, hi)
-	n := 0
-	for ; i < j; i++ {
-		n += len(p.rows[i])
+	return p.offs[j] - p.offs[i]
+}
+
+// gather appends the entries inside [lo, hi] to ents.
+func (p *ordPosting[T]) gather(ents []ordEntry[T], lo, hi Bound) []ordEntry[T] {
+	i, j := p.segment(lo, hi)
+	for k := p.offs[i]; k < p.offs[j]; k++ {
+		ents = append(ents, ordEntry[T]{pos: int(p.pos[k]), item: p.items[k]})
 	}
-	return n
+	return ents
 }
 
 // scan returns the entries inside [lo, hi] restored to bucket-insertion
 // order. The slice is freshly allocated and owned by the caller.
 func (p *ordPosting[T]) scan(lo, hi Bound) []T {
-	i, j := p.segment(lo, hi)
-	var ents []ordEntry[T]
-	for ; i < j; i++ {
-		ents = append(ents, p.rows[i]...)
-	}
-	return inBucketOrder(ents)
+	return inBucketOrder(p.gather(nil, lo, hi))
 }
 
 // inBucketOrder sorts entries back into bucket-insertion order and returns
@@ -222,6 +226,16 @@ func (g *Graph) LabelPropRange(label, key string, lo, hi Bound) []*Node {
 	return out
 }
 
+// LabelPropOrdered returns the nodes carrying the label whose property key
+// is not null, in ascending sort-key order, bucket order within one key: the
+// posting's own shared read-only slice, neither copied nor sorted.
+func (g *Graph) LabelPropOrdered(label, key string) []*Node {
+	ns := g.ordNodePosting(label, key).items
+	g.ordSeeks.Add(1)
+	g.ordRows.Add(int64(len(ns)))
+	return ns[:len(ns):len(ns)]
+}
+
 // LabelPropIn returns the nodes carrying the label whose property key
 // equals any of vs, in label-bucket (insertion) order: the union of the
 // equality seeks, served from the ordered posting because its entries keep
@@ -235,9 +249,7 @@ func (g *Graph) LabelPropIn(label, key string, vs []Value) []*Node {
 			continue
 		}
 		b := ValueBound(v, true)
-		for i, j := p.segment(b, b); i < j; i++ {
-			ents = append(ents, p.rows[i]...)
-		}
+		ents = p.gather(ents, b, b)
 	}
 	out := inBucketOrder(ents)
 	g.ordSeeks.Add(1)

@@ -202,30 +202,17 @@ func (opt EvalOptions) execOptions() []cypher.Option {
 	}, opt.ExecOptions...)
 }
 
-// EvaluateQuerySetsParallel evaluates many query sets against one graph
-// with a worker pool sharing one executor (and plan cache). The returned
-// slices are parallel to qss and in input order regardless of worker
-// count; exactly one of counts[i] / errs[i] is meaningful per entry.
-// workers <= 0 selects GOMAXPROCS.
-func EvaluateQuerySetsParallel(g *graph.Graph, qss []rules.QuerySet, workers int) (counts []rules.Counts, errs []error) {
-	return EvaluateQuerySets(g, qss, EvalOptions{Workers: workers})
-}
-
-// EvaluateQuerySets evaluates many query sets with explicit options; see
-// EvaluateQuerySetsParallel for the contract.
-func EvaluateQuerySets(g *graph.Graph, qss []rules.QuerySet, opt EvalOptions) (counts []rules.Counts, errs []error) {
-	return EvaluateQuerySetsCtx(context.Background(), g, qss, opt)
-}
-
-// EvaluateQuerySetsCtx is EvaluateQuerySets with cancellation. Once ctx is
-// done, in-flight queries abort and every not-yet-started entry gets
-// errs[i] = ctx.Err(); counts for entries that completed earlier are kept.
+// EvaluateQuerySetsCtx evaluates many query sets against one graph with a
+// worker pool sharing one executor (and plan cache). The returned slices
+// are parallel to qss and in input order regardless of worker count;
+// exactly one of counts[i] / errs[i] is meaningful per entry. Workers <= 0
+// selects GOMAXPROCS. Once ctx is done, in-flight queries abort and every
+// not-yet-started entry gets errs[i] = ctx.Err(); counts for entries that
+// completed earlier are kept.
 func EvaluateQuerySetsCtx(ctx context.Context, g *graph.Graph, qss []rules.QuerySet, opt EvalOptions) (counts []rules.Counts, errs []error) {
-	workers := opt.Workers
-	counts = make([]rules.Counts, len(qss))
-	errs = make([]error, len(qss))
+	counts, errs = make([]rules.Counts, len(qss)), make([]error, len(qss))
 	sc := NewScorer(g, opt.execOptions()...)
-	forEachIndex(len(qss), workers, func(i int) {
+	forEachIndex(len(qss), opt.Workers, func(i int) {
 		defer func() {
 			if p := recover(); p != nil {
 				errs[i] = fmt.Errorf("metrics: query set %d: panic during evaluation: %v", i, p)
