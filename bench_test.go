@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"github.com/graphrules/graphrules/internal/baseline"
-	"github.com/graphrules/graphrules/internal/cypher"
 	"github.com/graphrules/graphrules/internal/datasets"
 	"github.com/graphrules/graphrules/internal/embedding"
 	"github.com/graphrules/graphrules/internal/llm"
@@ -378,10 +377,9 @@ func wwcRules() []rules.Rule {
 }
 
 // BenchmarkScoreRules measures the rule-scoring hot path on WWC2019 across
-// engine configurations. seed_serial approximates the pre-optimization
-// path: a fresh executor per rule (cold plan cache) with index pushdown
-// disabled. warm_serial shares one scorer (warm plan cache, index seeks);
-// parallel adds the GOMAXPROCS worker pool.
+// engine configurations. cold_serial scores with a fresh scorer per pass;
+// warm_serial shares one scorer (warm plan cache); parallel adds the
+// GOMAXPROCS worker pool.
 // The cypher-vs-native cross-check runs first, outside the timed loops.
 func BenchmarkScoreRules(b *testing.B) {
 	g := benchGraph("WWC2019")
@@ -392,26 +390,6 @@ func BenchmarkScoreRules(b *testing.B) {
 		}
 	}
 
-	runQueries := func(b *testing.B, ex *cypher.Executor, qs rules.QuerySet) {
-		for _, src := range []string{qs.Support, qs.Body, qs.HeadTotal} {
-			res, err := ex.Run(src, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := res.IntErr(0, "n"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	b.Run("seed_serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range rs {
-				ex := cypher.NewExecutor(g, cypher.WithIndexPushdown(false))
-				runQueries(b, ex, r.Queries())
-			}
-		}
-	})
 	b.Run("cold_serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, failed := metrics.EvaluateRules(g, rs); len(failed) > 0 {
@@ -441,38 +419,6 @@ func BenchmarkScoreRules(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkEnginePropertyLookup isolates the label+property index pushdown:
-// the same constant-property count with the index on and off.
-func BenchmarkEnginePropertyLookup(b *testing.B) {
-	g := benchGraph("WWC2019")
-	const q = `MATCH (m:Match {stage: 'Group Stage'}) RETURN count(*) AS n`
-	for _, pushdown := range []bool{false, true} {
-		b.Run(fmt.Sprintf("pushdown=%v", pushdown), func(b *testing.B) {
-			ex := NewExecutor(g, WithIndexPushdown(pushdown))
-			var want int64 = -1
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := ex.Run(q, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, err := res.IntErr(0, "n")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if want == -1 {
-					if n == 0 {
-						b.Fatal("query matched nothing; benchmark would measure an empty seek")
-					}
-					want = n
-				} else if n != want {
-					b.Fatalf("count drifted: %d != %d", n, want)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkEngineNativeVsCypher compares the two metric evaluation paths on

@@ -41,8 +41,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	query := fs.String("q", "", "single query to run (omit for a REPL)")
 	seed := fs.Int64("graph-seed", 42, "dataset generator seed")
 	violations := fs.Float64("violations", 0.03, "dataset violation injection rate")
-	noReorder := fs.Bool("no-reorder", false, "disable cost-based pattern-part ordering")
-	noRangePushdown := fs.Bool("no-range-pushdown", false, "disable ordered-index range seeks for inequality/STARTS WITH predicates")
 	queryTimeout := fs.Duration("query-timeout", 0, "abort any query running longer than this (0 = no limit)")
 	maxRows := fs.Int("max-rows", 0, "kill any query materializing more than N rows with a typed budget error (0 = unlimited)")
 	memBudget := fs.Int64("mem-budget", 0, "kill any query retaining more than ~N bytes (rows + aggregate state; 0 = unlimited)")
@@ -112,8 +110,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 
 	opts := []cypher.Option{
-		cypher.WithReorder(!*noReorder),
-		cypher.WithRangePushdown(!*noRangePushdown),
 		cypher.WithSnapshotPin(*pinSnapshot),
 		cypher.WithMaxRows(*maxRows),
 		cypher.WithMemoryBudget(*memBudget),

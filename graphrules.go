@@ -188,13 +188,6 @@ func NewExecutor(g *Graph, opts ...ExecutorOption) *Executor {
 
 // Executor construction options (see the cypher package for the full set).
 var (
-	// WithReorder toggles cost-based reordering of match parts.
-	WithReorder = cypher.WithReorder
-	// WithIndexPushdown toggles the label+property equality index.
-	WithIndexPushdown = cypher.WithIndexPushdown
-	// WithRangePushdown toggles ordered-index range seeks for inequality,
-	// interval and STARTS WITH predicates.
-	WithRangePushdown = cypher.WithRangePushdown
 	// WithPlanCacheCap bounds the prepared-plan cache to n entries (LRU
 	// eviction); n <= 0 keeps the default cap.
 	WithPlanCacheCap = cypher.WithPlanCacheCap

@@ -199,6 +199,7 @@ type MatchClause struct {
 
 	sargs []Sarg          // index-eligible predicates, classified once by the parser
 	bound map[string]bool // variables bound before the clause (slots.go)
+	parts []*PatternPart  // Patterns in execution order, some reversed (plan.go)
 	order *access         // the key-order walk it provides the next projection (sarg.go)
 }
 

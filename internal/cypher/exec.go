@@ -58,13 +58,6 @@ type ExecStats struct {
 	// Seeks details every index seek taken, in execution order: the chosen
 	// bounds plus estimated vs. actual candidate rows.
 	Seeks []SeekInfo
-	// Reordered is true when cost-based planning changed part order or
-	// orientation; PartOrder lists the chosen execution order (original
-	// pattern indices) and PartEst the anchor cardinality estimates, both
-	// for the last planned multi-part MATCH.
-	Reordered bool
-	PartOrder []int
-	PartEst   []float64
 	// Clauses records one timing per clause, in clause order: the time from
 	// the start of execution until that clause's operator flushed
 	// (pipeline.go), so the timings are cumulative.
@@ -125,9 +118,6 @@ func (s ExecStats) String() string {
 	}
 	for _, sk := range s.Seeks {
 		fmt.Fprintf(&b, "  %s\n", sk)
-	}
-	if len(s.PartOrder) > 0 {
-		fmt.Fprintf(&b, "part order: %v est %v reordered=%v\n", s.PartOrder, s.PartEst, s.Reordered)
 	}
 	for _, ct := range s.Clauses {
 		fmt.Fprintf(&b, "  %-14s %s\n", ct.Clause, ct.Duration.Round(time.Microsecond))
@@ -243,15 +233,9 @@ type planEntry struct {
 type Executor struct {
 	g *graph.Graph
 
-	// noPushdown disables index seeks; it exists for A/B benchmarking and
-	// plan debugging. noReorder disables cost-based part ordering (parts
-	// then run exactly as written), which also backs the differential
-	// oracle's reference configuration.
-	noPushdown      bool
-	noReorder       bool
-	noRangePushdown bool
-	snapshotPin     bool // read-only queries run on a pinned epoch snapshot
-	hashGroups      bool // tests: ignore key-order walks (keyOrder), group by hash
+	snapshotPin bool // read-only queries run on a pinned epoch snapshot
+	noSeeks     bool // tests: bind no Sarg, so every anchor scans
+	hashGroups  bool // tests: ignore key-order walks (keyOrder), group by hash
 
 	// Resource governor configuration (see governor.go): per-query row /
 	// memory / deadline budgets, and an optional admission controller

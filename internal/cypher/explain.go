@@ -32,12 +32,9 @@ func (ex *Executor) Explain(src string) (string, error) {
 			}
 			line("%s (%d pattern(s))", kw, len(c.Patterns))
 			depth++
-			mp, accs := ex.planClause(ex.g, c, nil, true)
+			accs := ex.accesses(c, nil, true)
 			bound := copyBound(c.bound)
-			if mp.reordered {
-				line("CostOrder: order=%v reversed=%v est=%v [smallest anchor first]", mp.order, mp.reversed, mp.est)
-			}
-			for _, part := range mp.parts {
+			for _, part := range c.parts {
 				ex.explainPart(part, bound, accs, line)
 			}
 			if c.Where != nil {

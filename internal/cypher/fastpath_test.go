@@ -43,7 +43,7 @@ func resultSignature(res *Result) string {
 // scan engine on the same graph.
 func TestFastPathEquivalence(t *testing.T) {
 	g := socialGraph()
-	base := NewExecutor(g, WithIndexPushdown(false))
+	base := scanExecutor(g)
 	ex := NewExecutor(g)
 	for _, q := range equivQueries {
 		want, err := base.Run(q, nil)

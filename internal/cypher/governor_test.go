@@ -168,9 +168,8 @@ func TestUnderBudgetIdentity(t *testing.T) {
 		`MATCH (p:Person) RETURN collect(p.idx) AS xs`,
 		`UNWIND range(0, 20) AS x RETURN x`,
 	}
-	plain := NewExecutor(g, WithReorder(false))
+	plain := NewExecutor(g)
 	governed := NewExecutor(g,
-		WithReorder(false),
 		WithMaxRows(1_000_000),
 		WithMemoryBudget(1<<30),
 		WithQueryDeadline(time.Hour))
@@ -288,7 +287,7 @@ func BenchmarkGovernedMatch(b *testing.B) {
 }
 
 // TestBudgetedOracle extends the differential oracle with resource budgets:
-// under generous budgets both range-pushdown settings must stay
+// under generous budgets runs with and without index seeks must stay
 // byte-identical to the ungoverned reference, and under starvation budgets every run must either still
 // match the reference exactly or die with the typed budget error — a
 // budget kill is never allowed to degrade into a silently wrong answer.
@@ -307,21 +306,15 @@ func TestBudgetedOracle(t *testing.T) {
 
 	// Row order must be byte-identical to the reference: the budget
 	// comparison is exact, not just set-equal.
-	grid := []oracleConfig{
-		{name: "push", pushdown: true},
-		{name: "nopush", pushdown: false},
-	}
+	grid := append([]oracleConfig{oracleRef}, oracleGrid...)
 
 	ref := newOracleExecutor(g, oracleRef)
 	generous := func(cfg oracleConfig) *Executor {
-		return NewExecutor(g,
-			WithRangePushdown(cfg.pushdown),
+		return newOracleExecutor(g, cfg,
 			WithMaxRows(1<<20), WithMemoryBudget(1<<30), WithQueryDeadline(time.Minute))
 	}
 	starved := func(cfg oracleConfig) *Executor {
-		return NewExecutor(g,
-			WithRangePushdown(cfg.pushdown),
-			WithMaxRows(2))
+		return newOracleExecutor(g, cfg, WithMaxRows(2))
 	}
 
 	for _, q := range corpus {

@@ -8,20 +8,21 @@ import (
 
 // Benchmarks comparing ordered-index range seeks against the equivalent
 // full label/edge scans on the WWC2019 dataset. The "seek" variants run
-// with range pushdown enabled (the default); the "fullscan" baselines
-// disable it, forcing the anchor to enumerate every candidate and rely on
-// the WHERE re-filter. The ratio between the two is the selectivity win;
+// with seeks on (the default); the "fullscan" baselines turn every seek
+// off (noSeeks), forcing the anchor to enumerate every candidate and rely
+// on the WHERE re-filter. The ratio between the two is the selectivity win;
 // the harness (`go run ./bench`) records its end-to-end counterpart as
 // bolt_point's graph.seek_us, cypher.rows_scanned_per_row and
 // cypher.index_seeks_per_op.
 
-func benchIndexQuery(b *testing.B, query string, pushdown bool) {
+func benchIndexQuery(b *testing.B, query string, seeks bool) {
 	b.Helper()
 	gen, err := datasets.ByName("WWC2019")
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex := NewExecutor(gen(datasets.Options{Seed: 42, ViolationRate: 0.03}), WithRangePushdown(pushdown))
+	ex := NewExecutor(gen(datasets.Options{Seed: 42, ViolationRate: 0.03}))
+	ex.noSeeks = !seeks
 	// Warm the ordered index outside the timed region so the seek variant
 	// measures steady-state lookups, not the one-time build.
 	if _, err := ex.Run(query, nil); err != nil {

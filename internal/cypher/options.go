@@ -6,36 +6,13 @@ import "time"
 //
 //	ex := cypher.NewExecutor(g,
 //		cypher.WithPlanCacheCap(256),
-//		cypher.WithRangePushdown(false),
+//		cypher.WithMaxRows(50000),
 //	)
 //
 // Options are the one place executor knobs are defined; the graphrules
 // facade and mining.Config forward []Option verbatim, so every knob here
 // is reachable from every API layer.
 type Option func(*Executor)
-
-// WithIndexPushdown toggles index pushdown (on by default): the predicates
-// sarg.go classifies become index seeks. Disabling it turns every seek off
-// — equality, IN, range, prefix and edge-derived anchors — so anchors scan
-// label buckets or all nodes.
-func WithIndexPushdown(on bool) Option {
-	return func(ex *Executor) { ex.noPushdown = !on }
-}
-
-// WithRangePushdown toggles the ordered-index range pushdown (on by
-// default): inequality and STARTS WITH conjuncts in WHERE become range
-// seeks, for node and edge anchors alike. Equality and IN seeks do not
-// depend on it.
-func WithRangePushdown(on bool) Option {
-	return func(ex *Executor) { ex.noRangePushdown = !on }
-}
-
-// WithReorder toggles cost-based pattern-part ordering (on by default).
-// Disabling it pins the written part order and orientation, which also pins
-// the serial row order — the differential oracle's reference mode.
-func WithReorder(on bool) Option {
-	return func(ex *Executor) { ex.noReorder = !on }
-}
 
 // WithPlanCacheCap bounds the plan cache to n entries, evicting
 // least-recently-used plans beyond the cap. n <= 0 keeps the default cap.

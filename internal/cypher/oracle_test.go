@@ -1,18 +1,18 @@
 package cypher
 
-// Differential oracle for the cost-reordered executor: every query in a
+// Differential oracle for the executor's seeks and plans: every query in a
 // corpus (a fixed schema-derived set plus seeded randomized queries) runs
-// under the no-reorder, pushdown-on reference configuration and under the
-// other three points of the {reorder on/off} x {index pushdown on/off}
-// grid, and the results must agree. The *-nopush arms turn every seek off
-// (equality, IN, range, prefix, edge), so each seek kind is compared with
-// a pure scan. The no-reorder configuration must reproduce the reference
-// row order exactly (seeks return candidates in scan-equivalent order);
-// reorder-on configurations are compared as canonically sorted row
-// multisets, since part reordering is allowed to permute unordered
-// results. Metamorphic arms then rewrite each query into forms that must
-// give the reference rows in the reference order on the reference
-// executor itself (see metamorphicArms), and the count arm checks the
+// under the reference configuration, seeks on, and under the noseeks grid
+// configuration, which turns every seek off (equality, IN, range, prefix,
+// edge), so each seek kind is compared with a pure scan. The plan depends
+// on neither (plan.go), and seeks return candidates in scan-equivalent
+// order, so noseeks must reproduce the reference row order exactly.
+// Metamorphic arms then rewrite each query into forms that must give the
+// reference rows in the reference order on the reference executor itself
+// (see metamorphicArms); the respelling arm lists every MATCH's parts in
+// reverse and writes each reversible part backwards, so the planner starts
+// elsewhere, and must give the reference rows as a sorted multiset (see
+// respell). The count arm checks the
 // Aggregate operator against the row stream: for every `MATCH … RETURN
 // <items>` query, `RETURN count(*)` over the same MATCH equals the number
 // of reference rows (see countQuery), and the grouping arms check grouped
@@ -42,6 +42,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,25 +55,20 @@ import (
 )
 
 type oracleConfig struct {
-	name     string
-	reorder  bool
-	pushdown bool // every index seek (reference runs with it ON)
+	name  string
+	seeks bool // every index seek (the reference runs with them on)
 }
 
-// oracleRef is the reference configuration: parts run as written, index
-// pushdown on.
-var oracleRef = oracleConfig{name: "noreorder", reorder: false, pushdown: true}
+// oracleRef is the reference configuration: the default executor.
+var oracleRef = oracleConfig{name: "ref", seeks: true}
 
-// oracleGrid is every configuration compared against oracleRef: the
-// reorder x index-pushdown cross product minus the reference itself.
-var oracleGrid = []oracleConfig{
-	{name: "noreorder-nopush", reorder: false, pushdown: false},
-	{name: "reorder", reorder: true, pushdown: true},
-	{name: "reorder-nopush", reorder: true, pushdown: false},
-}
+// oracleGrid is every configuration compared against oracleRef.
+var oracleGrid = []oracleConfig{{name: "noseeks", seeks: false}}
 
-func newOracleExecutor(g *graph.Graph, cfg oracleConfig) *Executor {
-	return NewExecutor(g, WithReorder(cfg.reorder), WithIndexPushdown(cfg.pushdown))
+func newOracleExecutor(g *graph.Graph, cfg oracleConfig, opts ...Option) *Executor {
+	ex := NewExecutor(g, opts...)
+	ex.noSeeks = !cfg.seeks
+	return ex
 }
 
 // oracleRun executes one query and renders every result row to a canonical
@@ -253,7 +249,6 @@ func TestDifferentialOracle(t *testing.T) {
 					if text == q && !cursorArm(0, oracleRef.name, ref, refRows, refErr) {
 						return nil, "", false
 					}
-					refSorted := sortedCopy(refRows)
 					for i, cfg := range oracleGrid {
 						gotRows, gotErr := oracleRun(gridEx[i], text, params)
 						if text == q && !cursorArm(1+i, cfg.name, gridEx[i], gotRows, gotErr) {
@@ -266,15 +261,8 @@ func TestDifferentialOracle(t *testing.T) {
 						if refErr != "" {
 							continue // both failed; nothing further to compare
 						}
-						if !cfg.reorder {
-							// Same written part order: row order must be
-							// byte-identical to the reference.
-							if !rowsEqual(refRows, gotRows) {
-								fail(cfg.name, "row-order divergence", at+fmt.Sprintf("reference order %v\n%s order %v", refRows, cfg.name, gotRows))
-								return nil, "", false
-							}
-						} else if !rowsEqual(refSorted, sortedCopy(gotRows)) {
-							fail(cfg.name, "result-set divergence", at+fmt.Sprintf("reference sorted %v\n%s sorted %v", refSorted, cfg.name, sortedCopy(gotRows)))
+						if !rowsEqual(refRows, gotRows) {
+							fail(cfg.name, "row-order divergence", at+fmt.Sprintf("reference order %v\n%s order %v", refRows, cfg.name, gotRows))
 							return nil, "", false
 						}
 					}
@@ -302,6 +290,13 @@ func TestDifferentialOracle(t *testing.T) {
 					if got := renderRows(res); !rowsEqual(refRows, got) {
 						fail("meta-"+arm.name, "metamorphic divergence",
 							fmt.Sprintf("rewritten: %s params=%v\nreference %v\nrewritten %v", text, params, refRows, got))
+						return
+					}
+				}
+				if text, _, changed := rewriteQuery(q, respell); changed {
+					rows, errStr := oracleRun(ref, text, nil)
+					if want, got := sortedCopy(refRows), sortedCopy(rows); errStr != "" || !rowsEqual(want, got) {
+						fail("respell", "respelling divergence", fmt.Sprintf("rewritten: %s\nreference sorted %v\nrespelled sorted %v err=%q", text, want, got, errStr))
 						return
 					}
 				}
@@ -463,6 +458,33 @@ func nanParams(q *Query) map[string]graph.Value {
 		return nil
 	}
 	return params
+}
+
+// respell lists every MATCH clause's parts in reverse and writes each part
+// without a variable-length relationship backwards, by its own walk rather
+// than the planner's reversePart: the same pattern, spelled so that the
+// planner starts from another part and another end. Rows may come in
+// another order, but not as another multiset.
+func respell(q *Query) map[string]graph.Value {
+	for _, mc := range matchClauses(q) {
+		slices.Reverse(mc.Patterns)
+		for _, part := range mc.Patterns {
+			if slices.ContainsFunc(part.Rels, (*RelPattern).IsVarLength) {
+				continue // its variable binds the edges in walk order
+			}
+			slices.Reverse(part.Nodes)
+			slices.Reverse(part.Rels)
+			for _, r := range part.Rels {
+				switch r.Direction {
+				case DirOut:
+					r.Direction = DirIn
+				case DirIn:
+					r.Direction = DirOut
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // withStar inserts `WITH *` before the final RETURN.
@@ -1084,7 +1106,7 @@ func (sch *oracleSchema) tryRandomQuery(rng *rand.Rand) (string, bool) {
 			lo, hi := v-int64(rng.Intn(5)), v+int64(rng.Intn(5))
 			return fmt.Sprintf("MATCH (a:%s) WHERE a.%s >= %d AND a.%s < %d RETURN count(*) AS n",
 				l, ps.key, lo, ps.key, hi), true
-		default: // range seek feeding an expansion (reorder interplay)
+		default: // range seek feeding an expansion (plan interplay)
 			for _, r := range sch.rels {
 				if r.from == l && r.count <= 10000 {
 					return fmt.Sprintf("MATCH (a:%s)-[:%s]->(b) WHERE a.%s <= %d RETURN count(*) AS n",

@@ -44,8 +44,7 @@ func orderedKeysGraph() *graph.Graph {
 
 // TestOrderedGroupingFixture: over keys that differ only in kind or beyond
 // float64's mantissa, ordered grouping gives the hash path's rows as a
-// multiset, in ascending key order, under every reorder and pushdown
-// setting; and the uniqueness rule's counts equal its native witness.
+// multiset, in ascending key order, with seeks on and off; and the uniqueness rule's counts equal its native witness.
 func TestOrderedGroupingFixture(t *testing.T) {
 	g := orderedKeysGraph()
 	queries := []string{
@@ -219,30 +218,44 @@ func TestOrderedGroupingConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReorderAnchorsOnBoundEndpoint: when the cost order runs
-// (b)-[:ABOUT]->(c) first, the part naming b:Tweet anchors on the bound b
-// instead of rescanning every Tweet per row, and b's first anchor scans
-// the label the other part gives it; the reordered run scans no more
-// candidates than the written order.
-func TestReorderAnchorsOnBoundEndpoint(t *testing.T) {
+// TestAnchorRank pins the rule-based plan (plan.go) on Twitter seed 42 by
+// rows and candidates scanned: each spelling runs from the end and the
+// part its clause anchors best, and ties keep the written order.
+func TestAnchorRank(t *testing.T) {
 	gen, err := datasets.ByName("Twitter")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gen(datasets.Options{Seed: 42, ViolationRate: 0.03})
-	const q = "MATCH (a:Tweet)-[:RETWEETS]->(b:Tweet), (b)-[:ABOUT]->(c) RETURN count(*) AS n"
-	written, err := NewExecutor(g, WithReorder(false)).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reordered, err := NewExecutor(g).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, r := written.FirstInt("n"), reordered.FirstInt("n"); w != 47 || r != 47 {
-		t.Errorf("written order counts %d, reordered %d, want 47", w, r)
-	}
-	if w, r := written.Exec.RowsScanned, reordered.Exec.RowsScanned; r > w {
-		t.Errorf("reordered run (parts %v) scans %d candidates, written order %d", reordered.Exec.PartOrder, r, w)
+	ex := NewExecutor(gen(datasets.Options{Seed: 42, ViolationRate: 0.03}))
+	for _, c := range []struct {
+		q       string
+		n       int64
+		scanned int
+		bound   string // the variable a later part anchors on, "" for none
+	}{
+		// Labels at both ends tie: the chain runs as written, from Hashtag.
+		{"MATCH (h:Hashtag)<-[:TAGS]-(t:Tweet)<-[:POSTS]-(u:User) RETURN count(*) AS n", 2502, 10503, ""},
+		// A label at the far end beats none.
+		{"MATCH (a)<-[r:POSTS]-(b:User) RETURN count(*) AS n", 29990, 40990, ""},
+		// A point seek at the far end beats a label.
+		{"MATCH (u:User)-[:POSTS]->(t:Tweet {id: 101234}) RETURN count(*) AS n", 1, 4, ""},
+		// A bound endpoint beats a label, whichever part binds it first.
+		{"MATCH (b)-[:ABOUT]->(c), (a:Tweet)-[:RETWEETS]->(b:Tweet) RETURN count(*) AS n", 47, 49750, "b"},
+		{"MATCH (t:Tweet)-[:ABOUT]->(c:Topic), (u:User)-[:POSTS]->(t) RETURN count(*) AS n", 200, 49750, "t"},
+	} {
+		res, err := ex.Run(c.q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.FirstInt("n"); n != c.n || res.Exec.RowsScanned != c.scanned {
+			t.Errorf("%s: count %d scanning %d candidates, want %d scanning %d", c.q, n, res.Exec.RowsScanned, c.n, c.scanned)
+		}
+		plan, err := ex.Explain(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.bound != "" && !strings.Contains(plan, "AnchorOnBound("+c.bound+")") {
+			t.Errorf("%s: plan does not anchor on %s:\n%s", c.q, c.bound, plan)
+		}
 	}
 }

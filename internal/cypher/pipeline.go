@@ -200,26 +200,22 @@ func (p *pipeline) timed(i int, next stage) stage {
 	}}
 }
 
-// match is the Match operator. The clause is planned at its first input
-// row, so a MATCH behind a write barrier plans against the written graph.
-// Its bound index accesses are installed on the matcher only while its own
-// matchAll runs: a downstream MATCH installs its own inside the callback
-// and restores these on return.
+// match is the Match operator. It runs the clause's planned parts
+// (plan.go) with its index accesses bound to this run's parameters; they
+// are installed on the matcher only while its own matchAll runs: a
+// downstream MATCH installs its own inside the callback and restores these
+// on return.
 func (p *pipeline) match(cl *MatchClause) func(stage) stage {
 	return func(next stage) stage {
 		m := p.m
-		var plan *matchPlan
-		var acc []access
+		acc := p.ex.accesses(cl, p.ctx.params, false)
 		return stage{
 			push: func(row Row) error {
-				if plan == nil {
-					plan, acc = p.plan(cl)
-				}
 				p.res.Stats.RowsExamined++
 				outer := m.acc
 				m.acc = acc
 				matched := false
-				err := m.matchAll(plan.parts, row, func(r Row) error {
+				err := m.matchAll(cl.parts, row, func(r Row) error {
 					if cl.Where != nil {
 						t, err := p.ctx.evalBool(cl.Where, r)
 						if err != nil || t != triTrue {
@@ -238,25 +234,6 @@ func (p *pipeline) match(cl *MatchClause) func(stage) stage {
 			flush: next.flush,
 		}
 	}
-}
-
-// plan binds the clause's index accesses to this run's parameters and
-// plans its parts. It is kept out of the push closure, whose frame sits
-// under every match on a Session cursor's coroutine stack.
-func (p *pipeline) plan(cl *MatchClause) (*matchPlan, []access) {
-	plan, acc := p.ex.planClause(p.m.g, cl, p.ctx.params, false)
-	recordPlan(p.m, plan)
-	return plan, acc
-}
-
-// planClause binds the clause's index accesses and plans its parts on g; a
-// key-order walk (keyOrder) is its only access, and its part runs as written.
-func (ex *Executor) planClause(g *graph.Graph, cl *MatchClause, params map[string]graph.Value, explain bool) (*matchPlan, []access) {
-	if cl.order != nil && !ex.hashGroups {
-		return identityPlan(cl.Patterns), []access{*cl.order}
-	}
-	acc := ex.bindSargs(cl.sargs, params, explain)
-	return ex.planMatch(g, cl.Patterns, cl.bound, acc), acc
 }
 
 // nullPadded copies row with every variable of parts it does not bind set

@@ -7,183 +7,92 @@ import (
 	"github.com/graphrules/graphrules/internal/graph"
 )
 
-// This file implements cost-based ordering for MATCH clauses: whole pattern
-// parts are executed smallest-anchor-first, and each part may be reversed so
-// matching starts from its cheaper end. Estimates come from the graph the
-// clause executes on, through the same seek chooser the matcher uses
-// (sarg.go) plus label buckets and edge type counts, so the plan and the
-// execution never disagree about what a seek would touch. Reordering changes only the order rows are produced in,
-// never the result set: every candidate is still re-checked by the matcher,
-// and relationship uniqueness is symmetric under part order and direction.
+// This file plans a MATCH clause's pattern parts by rule, once per cached
+// query (resolve, slots.go): each part runs from whichever end its own
+// clause anchors best, and the parts run best-anchored first. The plan
+// reads the parsed clause alone — no graph statistics, parameter values or
+// executor option — so Explain, execution and every test configuration
+// run the same parts. Planning changes only the order rows are produced
+// in, never the result set: every candidate is still re-checked by the
+// matcher, and relationship uniqueness is symmetric under part order and
+// direction.
 
-// matchPlan is the planned execution of one MATCH clause's pattern list.
-type matchPlan struct {
-	// parts in execution order; reversed entries are fresh copies, the
-	// source AST is never mutated (it is shared via the plan cache).
-	parts    []*PatternPart
-	order    []int     // parts[i] was Patterns[order[i]]
-	reversed []bool    // parts[i] runs right-to-left relative to the source
-	est      []float64 // anchor cardinality estimate per planned part
-	// reordered is true when any part moved or flipped relative to source
-	// order, i.e. when row order may differ from the naive plan.
-	reordered bool
-}
-
-// identityPlan plans the parts exactly as written.
-func identityPlan(parts []*PatternPart) *matchPlan {
-	p := &matchPlan{parts: parts}
-	p.order = make([]int, len(parts))
-	p.reversed = make([]bool, len(parts))
-	p.est = make([]float64, len(parts))
-	for i := range parts {
-		p.order[i] = i
-		p.est[i] = -1 // unestimated
-	}
-	return p
-}
-
-// planMatch orders the clause's pattern parts by estimated cost on g, the
-// graph the clause executes on. bound holds the variable names already
-// bound when the clause runs; accs holds the clause's bound index accesses
-// (nil when pushdown is off), which sharpen anchor estimates exactly as
-// they narrow the matcher's anchors. When any part's property expressions
-// reference variables in ways the planner cannot prove safe under
-// reordering, it falls back to the identity plan.
-func (ex *Executor) planMatch(g *graph.Graph, parts []*PatternPart, bound map[string]bool, accs []access) *matchPlan {
-	if ex.noReorder || len(parts) == 0 {
-		return identityPlan(parts)
-	}
+// planParts orders the clause's parts given the variables bound before it.
+// Each end of a part ranks by what anchors it (anchorRank); the first part
+// in written order whose better end ranks lowest runs next, from that end,
+// and a part is reversed only when its far end ranks strictly better, so
+// ties keep the written order and orientation. When any part's property
+// expressions reference variables in ways the planner cannot prove safe
+// under reordering, the parts run as written.
+func planParts(parts []*PatternPart, bound map[string]bool, sargs []Sarg) []*PatternPart {
 	// Verify the source order is self-consistent forward; if a part refers
 	// to variables no earlier part introduces, execution-order semantics are
 	// load-bearing and reordering must not touch them.
 	known := copyBound(bound)
 	for _, part := range parts {
 		if !orientationSafe(part, false, known) {
-			return identityPlan(parts)
+			return parts
 		}
 		addIntroduced(part, known)
 	}
-
-	plan := &matchPlan{}
 	known = copyBound(bound)
-	parts = withClauseLabels(parts)
-	remaining := make([]int, len(parts))
-	for i := range parts {
-		remaining[i] = i
-	}
+	remaining := withClauseLabels(parts)
+	planned := make([]*PatternPart, 0, len(parts))
 	for len(remaining) > 0 {
-		bestPos, bestRev := -1, false
-		var bestCost float64
-		for pos, idx := range remaining {
-			part := parts[idx]
+		best, bestRank := -1, 4 // worse than any anchor
+		var bestPart *PatternPart
+		for i, part := range remaining {
 			if !orientationSafe(part, false, known) {
 				continue // depends on a part not yet placed
 			}
-			// A part anchors on its bound endpoint, not rescans per row.
-			last := known[part.Nodes[len(part.Nodes)-1].Var]
-			rev := reversible(part) && orientationSafe(part, true, known) && !known[part.Nodes[0].Var]
-			if !rev || !last {
-				if cost := partCost(g, part, false, known, accs); bestPos == -1 || cost < bestCost {
-					bestPos, bestRev, bestCost = pos, false, cost
+			p, rank := part, anchorRank(part, known, sargs)
+			if reversible(part) && orientationSafe(part, true, known) {
+				rp := reversePart(part)
+				if r := anchorRank(rp, known, sargs); r < rank {
+					p, rank = rp, r
 				}
 			}
-			if rev {
-				if rc := partCost(g, part, true, known, accs); bestPos == -1 || rc < bestCost {
-					bestPos, bestRev, bestCost = pos, true, rc
-				}
+			if rank < bestRank {
+				best, bestRank, bestPart = i, rank, p
 			}
 		}
-		if bestPos == -1 {
+		if best == -1 {
 			// Unplaceable under current bindings (only possible with exotic
 			// cross-part references); give up on reordering entirely.
-			return identityPlan(parts)
+			return parts
 		}
-		idx := remaining[bestPos]
-		part := parts[idx]
-		if bestRev {
-			part = reversePart(part)
-		}
-		plan.parts = append(plan.parts, part)
-		plan.order = append(plan.order, idx)
-		plan.reversed = append(plan.reversed, bestRev)
-		plan.est = append(plan.est, estAnchor(g, part, known, accs))
-		addIntroduced(part, known)
-		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
+		planned = append(planned, bestPart)
+		addIntroduced(bestPart, known)
+		remaining = append(remaining[:best:best], remaining[best+1:]...)
 	}
-	for i, idx := range plan.order {
-		if idx != i || plan.reversed[i] {
-			plan.reordered = true
-			break
-		}
-	}
-	return plan
+	return planned
 }
 
-// recordPlan publishes the chosen part order and estimates to the execution
-// stats so Explain and the REPL profile command can show them.
-func recordPlan(m *matcher, plan *matchPlan) {
-	if m.exec == nil || len(plan.order) == 0 {
-		return
-	}
-	m.exec.PartOrder = append([]int(nil), plan.order...)
-	m.exec.PartEst = append([]float64(nil), plan.est...)
-	m.exec.Reordered = plan.reordered
-}
-
-// estAnchor estimates how many candidate nodes anchoring the part
-// enumerates, through the matcher's own anchor choice (bound variable,
-// chooseNodeSeek, smallest label bucket, chooseEdgeSeek, full scan), so a
-// selective part costs what it will actually scan.
-func estAnchor(g *graph.Graph, part *PatternPart, bound map[string]bool, accs []access) float64 {
+// anchorRank ranks the anchor a part starts from, best first: 0 a bound
+// variable; 1 a label with an equality or IN Sarg, an index seek; 2 a
+// label, or for an unlabeled node a Sarg on its edgeSeekRel, an edge seek;
+// 3 nothing, a scan of every node.
+func anchorRank(part *PatternPart, bound map[string]bool, sargs []Sarg) int {
 	np := part.Nodes[0]
-	if np.Var != "" && bound[np.Var] {
+	on := func(v string, props map[string]Expr, point bool) bool {
+		return slices.ContainsFunc(sargs, func(s Sarg) bool { return (s.point() || !point) && s.applies(v, props) })
+	}
+	switch {
+	case np.Var != "" && bound[np.Var]:
+		return 0
+	case len(np.Labels) > 0 && on(np.Var, np.Props, true):
 		return 1
+	case len(np.Labels) > 0:
+		return 2
 	}
-	if s, ok := chooseNodeSeek(g, np, accs); ok && s.est >= 0 {
-		return float64(s.est)
+	if rel, ok := edgeSeekRel(part); ok && on(rel.Var, rel.Props, false) {
+		return 2
 	}
-	if len(np.Labels) > 0 {
-		_, ns := smallestLabel(g, np.Labels)
-		return float64(len(ns))
-	}
-	if s, ok := chooseEdgeSeek(g, part, accs); ok && s.est >= 0 {
-		return float64(s.est)
-	}
-	return float64(g.NodeCount())
-}
-
-// partCost estimates the matching work of one part in the given orientation:
-// anchor cardinality times per-hop fanout times target-label selectivity.
-func partCost(g *graph.Graph, part *PatternPart, reversed bool, bound map[string]bool, accs []access) float64 {
-	p := part
-	if reversed {
-		p = reversePart(part)
-	}
-	total := float64(g.NodeCount())
-	if total < 1 {
-		total = 1
-	}
-	cost := estAnchor(g, p, bound, accs)
-	for i, rel := range p.Rels {
-		fanout := relFanout(g, rel) / total
-		if fanout < 0.01 {
-			fanout = 0.01 // keep longer chains from rounding to free
-		}
-		sel := 1.0
-		target := p.Nodes[i+1]
-		if target.Var != "" && bound[target.Var] {
-			sel = 1 / total
-		} else if len(target.Labels) > 0 {
-			_, ns := smallestLabel(g, target.Labels)
-			sel = float64(len(ns)) / total
-		}
-		cost *= fanout * total * sel
-	}
-	return cost
+	return 3
 }
 
 // withClauseLabels copies the parts with every node variable carrying every
-// label the clause gives it, so an anchor estimates and scans the smallest:
+// label the clause gives it, so an anchor ranks and scans by the smallest:
 // a candidate without one cannot match the part that names it.
 func withClauseLabels(parts []*PatternPart) []*PatternPart {
 	labels := map[string][]string{}
@@ -222,19 +131,6 @@ func smallestLabel(g *graph.Graph, labels []string) (string, []*graph.Node) {
 		}
 	}
 	return best, ns
-}
-
-// relFanout estimates how many edges one expansion of rel examines across
-// the whole graph (the union of its admissible types).
-func relFanout(g *graph.Graph, rel *RelPattern) float64 {
-	if len(rel.Types) == 0 {
-		return float64(g.EdgeCount())
-	}
-	n := 0
-	for _, t := range rel.Types {
-		n += len(g.EdgesWithType(t))
-	}
-	return float64(n)
 }
 
 // reversible reports whether flipping the part end-for-end is semantically

@@ -12,8 +12,8 @@ import (
 // property-map entries and top-level WHERE conjuncts `v.key op slot`, op
 // one of =, IN, <, <=, >, >=, STARTS WITH, slot a literal, literal list or
 // $parameter. Each run binds the slots (bindSargs) and one chooser per
-// anchor kind picks the seek for the matcher, the planner and Explain
-// alike, so the three cannot disagree.
+// anchor kind picks the seek for the matcher and Explain alike, so the two
+// cannot disagree; the planner ranks anchors by which Sargs apply.
 //
 // A seek only narrows the anchor candidates — every candidate is re-checked
 // by the pattern and the full WHERE — and returns a subsequence of the
@@ -225,6 +225,7 @@ func keyOrder(m *MatchClause, pr *Projection) *access {
 	for _, c := range conjs {
 		if n, ok := c.(*IsNull); ok && n.Negate && n.E.exprString() == pa.exprString() {
 			m.order = &access{Sarg: &Sarg{Var: x.Var, Key: pa.Key, Op: OpNeq /* not a point */}, order: true, loTerm: "IS NOT NULL"}
+			m.parts = m.Patterns // the walk is x's anchor
 			return m.order
 		}
 	}
@@ -242,23 +243,28 @@ func (a *access) String() string {
 	return a.loTerm + " AND " + a.hiTerm
 }
 
+// accesses returns the clause's index accesses for one run: its key-order
+// walk (keyOrder) alone when it has one, else its Sargs bound to params.
+func (ex *Executor) accesses(cl *MatchClause, params map[string]graph.Value, explain bool) []access {
+	if cl.order != nil && !ex.hashGroups {
+		return []access{*cl.order}
+	}
+	return ex.bindSargs(cl.sargs, params, explain)
+}
+
 // bindSargs binds a clause's Sargs to one run's parameters and returns the
 // seekable accesses: point sets, then one interval per constrained variable
-// and key, each in Sarg order. Index pushdown off binds nothing;
-// range pushdown off skips ranges and prefixes. A Sarg whose slot is
-// missing or not seekable is dropped, leaving its anchor to the scan —
-// except under explain, where an absent parameter stays as an unbound
-// access so Explain can show the seek it enables.
+// and key, each in Sarg order. A Sarg whose slot is missing or not
+// seekable is dropped, leaving its anchor to the scan — except under
+// explain, where an absent parameter stays as an unbound access so Explain
+// can show the seek it enables. The noSeeks hook binds nothing.
 func (ex *Executor) bindSargs(sargs []Sarg, params map[string]graph.Value, explain bool) []access {
-	if ex.noPushdown {
+	if ex.noSeeks {
 		return nil
 	}
 	var points, ranges []access
 	for i := range sargs {
 		s := &sargs[i]
-		if !s.point() && ex.noRangePushdown {
-			continue
-		}
 		v, ok := s.Value, true
 		if s.Param != "" {
 			v, ok = params[s.Param]
@@ -403,15 +409,15 @@ func hiTighter(a, b graph.Bound) bool {
 	return !a.Inclusive && b.Inclusive
 }
 
-// applies reports whether the access constrains the pattern element with
+// applies reports whether the Sarg constrains the pattern element with
 // the given variable and inline property map. Planner-reversed parts copy
-// relationship patterns but share their property maps, so an inline access
+// relationship patterns but share their property maps, so an inline Sarg
 // still recognises its element.
-func (a *access) applies(v string, props map[string]Expr) bool {
-	if a.inline != nil {
-		return props[a.Key] == a.inline
+func (s *Sarg) applies(v string, props map[string]Expr) bool {
+	if s.inline != nil {
+		return props[s.Key] == s.inline
 	}
-	return v != "" && a.Var == v
+	return v != "" && s.Var == v
 }
 
 // count is how many items the access yields, summed over its point set or
@@ -517,15 +523,23 @@ type edgeSeek struct {
 	est   int
 }
 
-// chooseEdgeSeek picks, per type of the part's first relationship when it
-// is typed and single-hop, the applicable access with the fewest edges. It
-// declines when no access applies or when the endpoints derived (both ends
-// of an undirected relationship) would not beat a scan of every node.
-func chooseEdgeSeek(g *graph.Graph, part *PatternPart, accs []access) (s edgeSeek, ok bool) {
+// edgeSeekRel returns the part's first relationship when an edge seek can
+// anchor on it: typed and single-hop.
+func edgeSeekRel(part *PatternPart) (*RelPattern, bool) {
 	if len(part.Rels) == 0 || part.Rels[0].IsVarLength() || len(part.Rels[0].Types) == 0 {
+		return nil, false
+	}
+	return part.Rels[0], true
+}
+
+// chooseEdgeSeek picks, per type of the part's edgeSeekRel, the applicable
+// access with the fewest edges. It declines when no access applies or when
+// the endpoints derived (both ends of an undirected relationship) would
+// not beat a scan of every node.
+func chooseEdgeSeek(g *graph.Graph, part *PatternPart, accs []access) (s edgeSeek, ok bool) {
+	if s.rel, ok = edgeSeekRel(part); !ok {
 		return s, false
 	}
-	s.rel = part.Rels[0]
 	for _, t := range s.rel.Types {
 		var best *access
 		bestN := 0

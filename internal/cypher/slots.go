@@ -48,10 +48,10 @@ type propExpr struct {
 }
 
 // resolve gives every variable name of q a slot and records the scope the
-// pipeline compiles against: the variables bound before each MATCH, each
-// projection's items (a star expanded to the variables in scope) and
-// columns, and the key order a first MATCH provides the projection after
-// it (sarg.go, keyOrder). It also turns inline property maps into
+// pipeline compiles against: the variables bound before each MATCH and its
+// planned parts (plan.go), each projection's items (a star expanded to the
+// variables in scope) and columns, and the key order a first MATCH
+// provides the projection after it (sarg.go, keyOrder). It also turns inline property maps into
 // key-ordered slices, so a candidate check does not range over a map.
 // Concurrent executions of one Query resolve it once.
 func (q *Query) resolve() {
@@ -83,6 +83,7 @@ func (q *Query) resolve() {
 			switch c := cl.(type) {
 			case *MatchClause:
 				c.bound = copyBound(scope)
+				c.parts = planParts(c.Patterns, c.bound, c.sargs)
 				for _, part := range c.Patterns {
 					addIntroduced(part, scope)
 				}

@@ -24,8 +24,7 @@ func displayRows(res *Result) string {
 }
 
 // TestSlotScopes pins what a variable's slot holds across the clauses
-// that bind, rebind, shadow and drop it, with pushdown and reordering on
-// and off.
+// that bind, rebind, shadow and drop it, with seeks on and off.
 func TestSlotScopes(t *testing.T) {
 	cases := []struct{ name, q, want string }{
 		{"rebound across WITH",
@@ -77,9 +76,9 @@ func TestSlotScopes(t *testing.T) {
 			"MATCH (a:Nope) RETURN CASE WHEN (a)-->() THEN count(*) ELSE -1 END AS c",
 			"0"},
 	}
-	opts := [][]Option{nil, {WithIndexPushdown(false)}, {WithReorder(false)}}
-	for _, o := range opts {
-		ex := NewExecutor(socialGraph(), o...)
+	for _, noSeeks := range []bool{false, true} {
+		ex := NewExecutor(socialGraph())
+		ex.noSeeks = noSeeks
 		for _, c := range cases {
 			res, err := ex.Run(c.q, nil)
 			if err != nil {
@@ -87,7 +86,7 @@ func TestSlotScopes(t *testing.T) {
 				continue
 			}
 			if got := displayRows(res); got != c.want {
-				t.Errorf("%s (%d options):\n%s\n got %s\nwant %s", c.name, len(o), c.q, got, c.want)
+				t.Errorf("%s (noSeeks=%v):\n%s\n got %s\nwant %s", c.name, noSeeks, c.q, got, c.want)
 			}
 		}
 	}

@@ -123,7 +123,7 @@ type Config struct {
 	// values select GOMAXPROCS.
 	ScoreWorkers int
 	// ExecOptions are cypher executor options applied to the scoring
-	// executor (pushdown toggles, plan-cache cap, ...). None of them change
+	// executor (plan-cache cap, snapshot pin, ...). None of them change
 	// counts or rule order.
 	ExecOptions []cypher.Option
 	// MaxRows / MemoryBudget / QueryDeadline set per-query resource
